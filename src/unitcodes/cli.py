@@ -8,6 +8,7 @@ output only via --json/--csv.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -30,11 +31,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _prime(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        r = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _prime(text: str) -> int:
+    r = _int(text)
     try:
         PrimeField(r)
     except ValueError as exc:
@@ -43,10 +48,7 @@ def _prime(text: str) -> int:
 
 
 def _modulus(text: str) -> int:
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    k = _int(text)
     if k < 2:
         raise argparse.ArgumentTypeError(f"modulus must be >= 2, got {k}")
     return k
@@ -70,6 +72,22 @@ def _field_list(text: str) -> tuple[int, ...]:
     return tuple(_prime(part) for part in text.split(","))
 
 
+def _positive(text: str) -> int:
+    k = _int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
+    return k
+
+
+def _jobs(text: str) -> int:
+    # the pool starts every worker up front: a huge count exhausts process ids
+    k = _positive(text)
+    cpus = os.cpu_count() or 1
+    if k > cpus:
+        raise argparse.ArgumentTypeError(f"must be at most the CPU count {cpus}, got {k}")
+    return k
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="unitcodes",
                      description="Unit graphs of Z_n (+) Z_m and their incidence-matrix codes")
@@ -91,29 +109,29 @@ def build_parser() -> _Parser:
     p.add_argument("--field", type=_prime, required=True)
     p.add_argument("--exact", action="store_true",
                    help="compute the exact minimum distance by enumeration")
-    p.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive, default=codes.DEFAULT_BUDGET)
 
     p = sub.add_parser("dual", help="dual-code dimension and minimum distance")
     p.add_argument("n", type=_modulus)
     p.add_argument("m", type=_modulus)
     p.add_argument("--field", type=_prime, required=True)
-    p.add_argument("--cap", type=int, default=codes.DEFAULT_DUAL_CAP)
+    p.add_argument("--cap", type=_positive, default=codes.DEFAULT_DUAL_CAP)
 
     p = sub.add_parser("verify", help="sweep ranges and check every applicable closed form")
     p.add_argument("--n", type=_range, required=True, metavar="A..B")
     p.add_argument("--m", type=_range, required=True, metavar="A..B")
     p.add_argument("--fields", type=_field_list, required=True, metavar="LIST")
-    p.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive, default=codes.DEFAULT_BUDGET)
     p.add_argument("--json", metavar="PATH")
     p.add_argument("--csv", metavar="PATH")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
 
     p = sub.add_parser("conjecture", help="report conjecture evidence over ranges")
     p.add_argument("--n", type=_range, required=True, metavar="A..B")
     p.add_argument("--m", type=_range, required=True, metavar="A..B")
     p.add_argument("--fields", type=_field_list, required=True, metavar="LIST")
-    p.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget", type=_positive, default=codes.DEFAULT_BUDGET)
+    p.add_argument("--jobs", type=_jobs, default=1)
 
     return parser
 
@@ -174,7 +192,7 @@ def _cmd_code(args) -> int:
 def _cmd_dual(args) -> int:
     g = graphs.build(RingSpec(args.n, args.m))
     code = codes.from_incidence(g, args.field)
-    hint = graphs.shortest_cycle(g) if args.field == 2 else None
+    hint = graphs.shortest_cycle(g) if codes.uses_cycle_hint(code) else None
     dual = codes.dual_min_distance(code, cap=args.cap, cycle_hint=hint)
     d = str(dual.value) if dual.exact else f"?(>= {dual.lower})"
     print(f"dual code: length {code.length}, dimension {codes.dual_dimension(code)}, "

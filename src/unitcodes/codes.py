@@ -188,12 +188,17 @@ def dual_min_distance(
     generator of C is a parity check for the dual).
 
     Sizes 1 and 2 (zero or proportional columns) are settled by a direct
-    scan; t = 3, 4, ... by backtracking over column subsets with
-    incremental elimination. Over GF(2) a subset-size level whose search
-    would exceed ``max_nodes`` may be answered by ``cycle_hint`` (edge
-    indices of a shortest cycle of the source graph: minimal dependent
-    column sets of an incidence matrix are exactly minimal cycles); the
-    hint is always re-validated as a genuinely dependent set.
+    scan. Sizes 3 and 4 are settled together by one column-pair collision
+    pass (see ``_pair_collision``) when C(E, 2) <= ``max_nodes`` for E
+    columns and its key table fits ``_COLLISION_WORDS``; t = 5, 6, ...,
+    or every t >= 3 when the pass is gated off, go to backtracking over
+    column subsets with incremental elimination. Over GF(2) a subset-size
+    level whose search would exceed ``max_nodes`` may be answered by
+    ``cycle_hint`` (edge indices of a shortest cycle of the source graph:
+    minimal dependent column sets of an incidence matrix are exactly
+    minimal cycles); the hint is always re-validated as a genuinely
+    dependent set. Without a usable hint such a level ends the search
+    with an ``Unknown`` bracket.
     """
     gen = c.generator
     ncols = gen.cols
@@ -202,7 +207,14 @@ def dual_min_distance(
         if len(small) <= cap:
             return DistanceResult.known(len(small), "column scan", small)
         return DistanceResult.unknown(cap + 1, ncols, "no dependence within cap")
-    for t in range(3, cap + 1):
+    start = 3
+    if cap >= 3 and _collision_fits(gen, max_nodes):
+        witness = _pair_collision(gen)
+        if witness is not None and len(witness) <= cap:
+            return DistanceResult.known(len(witness), "subset search", witness)
+        start = 5  # sizes 3 and 4 are absent, or a 4-set lies beyond cap = 3
+    # there is no subset larger than ncols, however large cap is
+    for t in range(start, min(cap, ncols) + 1):
         # internal search nodes are the independent (t-1)-subsets
         if math.comb(ncols, t - 1) <= max_nodes:
             try:
@@ -225,25 +237,119 @@ def dual_min_distance(
     return DistanceResult.unknown(cap + 1, ncols, "no dependence within cap")
 
 
+def uses_cycle_hint(c: LinearCode, max_nodes: int = DEFAULT_DUAL_NODES) -> bool:
+    """Whether ``dual_min_distance(c, max_nodes=max_nodes)`` can consult a
+    cycle hint: only over GF(2), and only when the collision pass is gated
+    off, since otherwise every level the hint could answer is searched."""
+    return c.r == 2 and not _collision_fits(c.generator, max_nodes)
+
+
 def _small_dependent_set(gen: GfMatrix) -> Optional[list[int]]:
     """Dependent set of size 1 or 2 by direct scan: a zero column, or a
     pair of proportional columns (after scaling each column so its first
     nonzero entry is 1, proportional means identical)."""
     a = gen.array()
-    r = gen.r
     zero = np.nonzero(~a.any(axis=0))[0]
     if zero.size:
         return [int(zero[0])]
-    lead = a[np.argmax(a != 0, axis=0), np.arange(a.shape[1])]
-    inverses = np.array([0] + [pow(x, -1, r) for x in range(1, r)])
-    norm = (a * inverses[lead][None, :]) % r
-    _, inverse = np.unique(norm.T, axis=0, return_inverse=True)
+    _, inverse = np.unique(_normalize(a, gen.r).T, axis=0, return_inverse=True)
     order = np.argsort(inverse, kind="stable")
     dup = np.nonzero(inverse[order[1:]] == inverse[order[:-1]])[0]
     if dup.size:
         i = int(dup[0])
         return sorted((int(order[i]), int(order[i + 1])))
     return None
+
+
+def _normalize(cols: np.ndarray, r: int) -> np.ndarray:
+    """Scale each nonzero column so its first nonzero entry is 1; entries
+    stay below r, and cols' dtype must hold (r - 1)^2."""
+    inverses = np.array([0] + [pow(x, -1, r) for x in range(1, r)], dtype=cols.dtype)
+    lead = cols[np.argmax(cols != 0, axis=0), np.arange(cols.shape[1])]
+    return (cols * inverses[lead][None, :]) % r
+
+
+# Upper limit on the uint64 words of the collision pass's key table
+# (32 MiB): C(E, 2) (r - 1) pair keys grow with the field order r.
+_COLLISION_WORDS = 1 << 22
+_COLLISION_BLOCK = 1 << 15  # column pairs per vectorized block
+
+
+def _collision_fits(gen: GfMatrix, max_nodes: int) -> bool:
+    """The gate of ``_pair_collision``: the size-3 search's node count
+    C(E, 2) within ``max_nodes``, and its key table within memory."""
+    pairs = math.comb(gen.cols, 2)
+    keys = gen.cols + pairs * (gen.r - 1)
+    return pairs <= max_nodes and keys * _key_words(gen.rows, gen.r) <= _COLLISION_WORDS
+
+
+def _key_words(rows: int, r: int) -> int:
+    per_word = 64 // (r - 1).bit_length()
+    return -(-rows // per_word)
+
+
+def _pack(cols: np.ndarray, r: int) -> np.ndarray:
+    """Pack columns with entries in [0, r) exactly into uint64 words,
+    one key row per column; equal keys mean equal columns."""
+    bits = (r - 1).bit_length()
+    per_word = 64 // bits
+    rows, n = cols.shape
+    keys = np.zeros((n, _key_words(rows, r)), dtype=np.uint64)
+    for e in range(rows):
+        w, pos = divmod(e, per_word)
+        keys[:, w] |= cols[e].astype(np.uint64) << np.uint64(bits * pos)
+    return keys
+
+
+def _pair_collision(gen: GfMatrix) -> Optional[list[int]]:
+    """A dependent set of 3 or 4 columns, or None when neither size
+    occurs; requires that no set of 1 or 2 columns is dependent.
+
+    Every column pair i < j and beta in GF(r)* gives the key of
+    a_i + beta a_j scaled to first nonzero entry 1 (never zero, as a_i
+    and a_j are not proportional). A minimal dependent 3-set is a pair
+    key equal to a scaled single column; a minimal dependent 4-set is two
+    equal pair keys. Once no 3-set exists, equal pair keys come from
+    disjoint pairs, since a shared column would leave a dependence among
+    at most 3 columns. Stern's low-weight search ("A method for finding
+    codewords of small weight", 1989) matches partial sums the same way.
+    """
+    a = gen.array()
+    r = gen.r
+    ncols = a.shape[1]
+    dtype = np.min_scalar_type(r * r)
+    small = a.astype(dtype)
+    first, second = np.triu_indices(ncols, 1)
+    npairs = first.size
+    keys = np.empty((ncols + npairs * (r - 1), _key_words(a.shape[0], r)), dtype=np.uint64)
+    keys[:ncols] = _pack(_normalize(small, r), r)
+    for beta in range(1, r):
+        scaled = (small * beta) % r
+        row = ncols + (beta - 1) * npairs
+        for lo in range(0, npairs, _COLLISION_BLOCK):
+            hi = min(lo + _COLLISION_BLOCK, npairs)
+            sums = (small[:, first[lo:hi]] + scaled[:, second[lo:hi]]) % r
+            keys[row + lo:row + hi] = _pack(_normalize(sums, r), r)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    equal = np.nonzero((ranked[1:] == ranked[:-1]).all(axis=1))[0]
+    if equal.size == 0:
+        return None
+
+    def columns(key_row: int) -> list[int]:
+        if key_row < ncols:
+            return [key_row]
+        p = (key_row - ncols) % npairs
+        return [int(first[p]), int(second[p])]
+
+    # a run of equal keys holds at most one single column (singles are
+    # pairwise distinct), and its neighbours in the run are pairs
+    lone = equal[np.minimum(order[equal], order[equal + 1]) < ncols]
+    i = int(lone[0] if lone.size else equal[0])
+    witness = sorted(columns(int(order[i])) + columns(int(order[i + 1])))
+    if len(set(witness)) != len(witness) or not gen.columns_dependent(witness):
+        raise RuntimeError(f"column-pair collision gave a non-witness {witness}")
+    return witness
 
 
 def _find_dependent_subset(gen: GfMatrix, t: int, max_nodes: int) -> Optional[list[int]]:

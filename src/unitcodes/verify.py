@@ -93,16 +93,14 @@ def _dist(res: codes.DistanceResult) -> Any:
 def _graph_data(n: int, m: int):
     spec = RingSpec(n, m)
     g = graphs.build(spec)
-    inv = graphs.invariants(g)
-    cycle = graphs.shortest_cycle(g)
-    return g, inv, cycle
+    return g, graphs.invariants(g)
 
 
 def check_instance(n: int, m: int, r: int, config: SweepConfig) -> CheckRecord:
     spec = RingSpec(n, m)
     profile = classify(spec)
     parity = spec.parity_case()
-    g, inv, cycle = _graph_data(n, m)
+    g, inv = _graph_data(n, m)
     phi = profile.phi_n() * profile.phi_m()
     out: list[Check] = []
 
@@ -185,7 +183,7 @@ def check_instance(n: int, m: int, r: int, config: SweepConfig) -> CheckRecord:
                          Status.SKIPPED, "diameter hypotheses not met"))
 
     # --- code-side checks --------------------------------------------------
-    code_checks = _code_checks(g, inv, cycle, profile, r, config)
+    code_checks = _code_checks(g, inv, profile, r, config)
     out.extend(code_checks)
 
     return CheckRecord(n=n, m=m, r=r, case_tag=tag, checks=tuple(out))
@@ -207,7 +205,7 @@ _CODE_CHECK_NAMES = (
 )
 
 
-def _code_checks(g, inv, cycle, profile, r: int, config: SweepConfig) -> list[Check]:
+def _code_checks(g, inv, profile, r: int, config: SweepConfig) -> list[Check]:
     if not inv.connected:
         return [Check(name, None, None, Status.SKIPPED, "disconnected - no theorem applies")
                 for name in _CODE_CHECK_NAMES]
@@ -270,8 +268,10 @@ def _code_checks(g, inv, cycle, profile, r: int, config: SweepConfig) -> list[Ch
         out.append(Check("DualDimension", dual_dim, None,
                          Status.SKIPPED, "nullspace cross-check above size cap"))
 
-    dual = codes.dual_min_distance(code, config.dual_cap, config.dual_nodes,
-                                   cycle_hint=cycle if r == 2 else None)
+    # invariants() has already run shortest_cycle for the girth; run it
+    # again only when the dual search can use the cycle
+    hint = graphs.shortest_cycle(g) if codes.uses_cycle_hint(code, config.dual_nodes) else None
+    dual = codes.dual_min_distance(code, config.dual_cap, config.dual_nodes, cycle_hint=hint)
     if prediction.source.is_theorem and prediction.dual is not None:
         if dual.exact:
             out.append(Check("DualDistanceVsPredicted", prediction.dual.min_distance, dual.value,

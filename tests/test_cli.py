@@ -1,11 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from unitcodes.cli import run
+from unitcodes.cli import _UsageError, build_parser, run
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -117,6 +118,28 @@ def test_usage_errors(capsys):
     assert run(["verify", "--n", "2..3", "--m", "2..3", "--fields", "six"]) == 1
     assert run(["bogus"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "3", "5", "--field", "2", "--exact", "--budget", "0"],
+    ["code", "3", "5", "--field", "2", "--exact", "--budget", "-5"],
+    ["dual", "3", "5", "--field", "2", "--cap", "0"],
+    ["verify", "--n", "2..3", "--m", "2..3", "--fields", "2", "--jobs", "0"],
+    ["conjecture", "--n", "2..3", "--m", "2..3", "--fields", "2", "--jobs", "-1"],
+])
+def test_out_of_range_inputs(argv, capsys):
+    assert run(argv) == 1
+    capsys.readouterr()
+
+
+def test_jobs_bounded_by_cpu_count():
+    # parsed only: an accepted large --jobs would start that many processes
+    cpus = os.cpu_count() or 1
+    base = ["verify", "--n", "2..3", "--m", "2..3", "--fields", "2", "--jobs"]
+    assert build_parser().parse_args(base + [str(cpus)]).jobs == cpus
+    for jobs in (cpus + 1, 10**6):
+        with pytest.raises(_UsageError):
+            build_parser().parse_args(base + [str(jobs)])
 
 
 def test_range_outside_limits(capsys):

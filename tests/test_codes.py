@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from unitcodes import codes
 from unitcodes.codes import (
     CodeParams,
     DistanceResult,
@@ -50,7 +52,7 @@ def oracle_min_distance(code):
 def oracle_dual_distance(code, cap=8):
     """Smallest dependent column subset by brute-force rank checks."""
     arr = code.generator.array()
-    for t in range(2, cap + 1):
+    for t in range(1, cap + 1):
         for cols in itertools.combinations(range(arr.shape[1]), t):
             if _rank_mod(arr[:, cols], code.r) < t:
                 return t
@@ -174,26 +176,120 @@ def test_dual_distance_matches_oracle(n, m, r):
     assert res.value == oracle_dual_distance(c)
 
 
-def test_dual_distance_witness_is_dependent():
-    c = _code(3, 4, 3)
-    res = dual_min_distance(c)
+def _assert_minimal_witness(gen, res):
     assert res.witness is not None
     assert len(res.witness) == res.value
-    assert c.generator.columns_dependent(res.witness)
+    assert gen.columns_dependent(res.witness)
     # and every proper subset is independent (minimality)
     for drop in range(len(res.witness)):
         sub = [x for i, x in enumerate(res.witness) if i != drop]
-        assert not c.generator.columns_dependent(sub)
+        assert not gen.columns_dependent(sub)
+
+
+def test_dual_distance_witness_is_dependent():
+    c = _code(3, 4, 3)
+    _assert_minimal_witness(c.generator, dual_min_distance(c))
+
+
+@pytest.mark.parametrize("n,m", [(4, 7), (5, 5), (5, 6)])
+def test_dual_distance_four_by_pair_collision(n, m):
+    # C(E, 3) exceeds the node budget here, so backtracking alone ends Unknown(4, E)
+    c = _code(n, m, 3)
+    assert math.comb(c.length, 3) > codes.DEFAULT_DUAL_NODES
+    res = dual_min_distance(c)
+    assert (res.exact, res.value, res.method) == (True, 4, "subset search")
+    _assert_minimal_witness(c.generator, res)
+
+
+def test_dual_distance_cap_below_collision_size():
+    c = _code(3, 4, 3)  # dual distance 4
+    res = dual_min_distance(c, cap=3)
+    assert not res.exact
+    assert (res.lower, res.upper, res.witness) == (4, c.length, None)
+
+
+def test_dual_distance_collision_memory_gate(monkeypatch):
+    # C(E, 2) (r - 1) keys grow with r; past the memory limit backtracking takes over
+    c = _code(3, 4, 3)
+    monkeypatch.setattr(codes, "_COLLISION_WORDS", 0)
+    res = dual_min_distance(c)
+    assert (res.exact, res.value) == (True, 4)
+    _assert_minimal_witness(c.generator, res)
+    assert codes.uses_cycle_hint(_code(3, 4, 2))
+
+
+def test_dual_distance_huge_cap_terminates():
+    c = from_generator(GfMatrix(3, np.eye(4, dtype=int)))
+    res = dual_min_distance(c, cap=10**12)
+    assert not res.exact
 
 
 def test_dual_distance_cycle_hint_path():
     # force the budget below the level size so the GF(2) shortcut engages
     g = build(RingSpec(5, 5))
     c = from_incidence(g, 2)
+    assert codes.uses_cycle_hint(c, max_nodes=10)
+    assert not codes.uses_cycle_hint(c)
     hint = shortest_cycle(g)
     res = dual_min_distance(c, max_nodes=10, cycle_hint=hint)
     assert res.exact
     assert res.value == 3
+    assert res.method == "cycle shortcut"
+
+
+def _reference_dual_distance(gen, cap):
+    """Sizes 1-2 by the column scan, then the backtracking search level by level."""
+    small = codes._small_dependent_set(gen)
+    if small is not None:
+        return len(small)
+    for t in range(3, cap + 1):
+        if codes._find_dependent_subset(gen, t, max_nodes=10**9) is not None:
+            return t
+    return None
+
+
+@st.composite
+def _generators(draw):
+    """Pairwise non-proportional nonzero columns over GF(r), shapes up to
+    6 x 12, and now and then a planted zero column or a planted multiple
+    of another column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = int(rng.choice([2, 3, 5, 7]))
+    rows, cols = int(rng.integers(4, 7)), int(rng.integers(3, 13))
+    picked: dict[tuple, np.ndarray] = {}
+    while len(picked) < cols:  # GF(2)^4 alone has 15 projective points
+        v = rng.integers(0, r, size=rows)
+        if v.any():
+            lead = int(v[np.nonzero(v)[0][0]])
+            picked.setdefault(tuple((v * pow(lead, -1, r)) % r), v)
+    a = np.array(list(picked.values())).T
+    if rng.random() < 0.1:
+        a[:, rng.integers(cols)] = 0
+    if rng.random() < 0.15:
+        a[:, rng.integers(cols)] = (a[:, rng.integers(cols)] * rng.integers(1, r)) % r
+    return GfMatrix(r, a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(gen=_generators(), cap=st.integers(3, 8),
+       max_nodes=st.sampled_from([codes.DEFAULT_DUAL_NODES, 10, 1]))
+def test_dual_distance_property(gen, cap, max_nodes):
+    c = from_generator(gen)
+    truth = oracle_dual_distance(c, cap=max(cap, gen.cols))
+    if max_nodes == codes.DEFAULT_DUAL_NODES:
+        assert _reference_dual_distance(gen, cap) == (truth if truth is not None and truth <= cap
+                                                      else None)
+    res = dual_min_distance(c, cap=cap, max_nodes=max_nodes)
+    if res.exact:
+        assert res.value == truth
+        _assert_minimal_witness(gen, res)
+    else:
+        assert res.witness is None
+        assert truth is None or res.lower <= truth
+        if max_nodes == codes.DEFAULT_DUAL_NODES:
+            # every level is within budget, so only the cap stops the search
+            assert truth is None or truth > cap
+            assert res.lower == cap + 1
 
 
 def test_dual_distance_budget_unknown():

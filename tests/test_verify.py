@@ -69,6 +69,13 @@ def test_check_instance_conjectures():
     assert checks["BipartiteIffOneEven"].status == Status.PASS
 
 
+def test_dual_girth_check_uses_subset_search():
+    # the girth is a cycle length: the dual side must come from linear algebra
+    checks = _by_name(check_instance(7, 4, 2, CONFIG))
+    check = checks["DualDistanceEqualsGirth(GF(2))"]
+    assert (check.status, check.observed, check.reason) == (Status.PASS, 4, "method: subset search")
+
+
 def test_check_instance_odd_odd_odd_field_no_claims():
     checks = _by_name(check_instance(3, 5, 3, CONFIG))
     assert checks["ConjectureII"].status == Status.SKIPPED
