@@ -1,6 +1,7 @@
 """Tests for the verification harness: per-instance checks, sweeps, reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from unitcodes.verify import (
 
 
 CONFIG = SweepConfig(n_range=(2, 6), m_range=(2, 6), fields=(2, 3))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _by_name(record):
@@ -142,6 +144,16 @@ def test_report_json_deterministic(small_sweep):
     b = report_json(CONFIG, sweep(CONFIG))
     assert a.encode() == b.encode()
     assert a.endswith("\n")
+
+
+def test_report_matches_golden(small_sweep):
+    # past [2,6]^2: (7,8) and (7,9) reach the dependent-column search budget,
+    # (7,11) the nullspace cap and the GF(2) cycle shortcut, and (11,12) the
+    # incidence-matrix cap; the goldens pin every byte of both reports
+    records = small_sweep + [check_instance(n, m, r, CONFIG)
+                             for n, m in [(7, 8), (7, 9), (7, 11), (11, 12)] for r in (2, 3)]
+    assert report_json(CONFIG, records).encode() == (GOLDEN / "verify_report.json").read_bytes()
+    assert summary_csv(records).encode() == (GOLDEN / "verify_summary.csv").read_bytes()
 
 
 def test_summary_csv(small_sweep):
