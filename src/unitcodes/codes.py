@@ -415,10 +415,6 @@ class PredictionSource(Enum):
     def is_theorem(self) -> bool:
         return self in (self.S4_C2, self.S4_CR, self.S5_C2, self.S5_CR)
 
-    @property
-    def is_conjecture(self) -> bool:
-        return self in (self.CONJ_II_C2, self.CONJ_II_CR)
-
 
 @dataclass(frozen=True)
 class CodeParams:
@@ -438,41 +434,38 @@ class PredictedParams:
     source: PredictionSource
 
 
+# (case tag, binary field) -> the statement that predicts the parameters:
+# the odd-odd rows hold over GF(2), the one-even rows over an odd field
+_SOURCES = {
+    (CaseTag.PP_ODD_ODD, True): PredictionSource.S4_C2,
+    (CaseTag.PPPP_ODD_ODD, True): PredictionSource.S5_C2,
+    (CaseTag.GENERAL_ODD_ODD, True): PredictionSource.CONJ_II_C2,
+    (CaseTag.PP_ODD_TWO, False): PredictionSource.S4_CR,
+    (CaseTag.PPPP_ONE_EVEN, False): PredictionSource.S5_CR,
+    (CaseTag.GENERAL_ONE_EVEN, False): PredictionSource.CONJ_II_CR,
+}
+
+
 def predict(profile: StructureProfile, r: int) -> PredictedParams:
     """Closed-form [n, k, d] for primal and dual when (n, m, r) matches a
     theorem's hypotheses; conjectural values for the General* cases; the
     binary-field rows require r = 2 and the r-ary rows an odd prime r."""
     PrimeField(r)  # reject non-prime fields up front
-    n, m = profile.n, profile.m
-    phi = profile.phi_n() * profile.phi_m()
-    tag = profile.case_tag
-
-    def params(length: int, dim: int, d: Optional[int], dual_d: Optional[int],
-               source: PredictionSource) -> PredictedParams:
-        return PredictedParams(
-            primal=CodeParams(length, dim, d),
-            dual=CodeParams(length, length - dim, dual_d),
-            source=source,
-        )
-
-    if tag in (CaseTag.PP_ODD_ODD, CaseTag.PPPP_ODD_ODD) and r == 2:
-        source = PredictionSource.S4_C2 if tag == CaseTag.PP_ODD_ODD else PredictionSource.S5_C2
-        length = (n * m - 1) * phi // 2
-        return params(length, n * m - 1, phi - 1, 3, source)
-
-    if tag in (CaseTag.PP_ODD_TWO, CaseTag.PPPP_ONE_EVEN) and r != 2:
-        source = PredictionSource.S4_CR if tag == CaseTag.PP_ODD_TWO else PredictionSource.S5_CR
-        length = n * m * phi // 2
+    source = _SOURCES.get((profile.case_tag, r == 2), PredictionSource.NONE)
+    if source == PredictionSource.NONE:
+        return PredictedParams(primal=None, dual=None, source=source)
+    spec = profile.spec
+    length = graphs.edge_count_formula(spec)
+    dim = spec.size - 1
+    if not source.is_theorem:
+        dual_d = None
+    elif r == 2:
+        dual_d = 3
+    else:
         # the girth-6 exception replaces the dual-distance-4 claim at n*m = 6
-        dual_d = 6 if n * m == 6 else 4
-        return params(length, n * m - 1, phi, dual_d, source)
-
-    if tag == CaseTag.GENERAL_ODD_ODD and r == 2:
-        length = (n * m - 1) * phi // 2
-        return params(length, n * m - 1, phi - 1, None, PredictionSource.CONJ_II_C2)
-
-    if tag == CaseTag.GENERAL_ONE_EVEN and r != 2:
-        length = n * m * phi // 2
-        return params(length, n * m - 1, phi, None, PredictionSource.CONJ_II_CR)
-
-    return PredictedParams(primal=None, dual=None, source=PredictionSource.NONE)
+        dual_d = 6 if spec.size == 6 else 4
+    return PredictedParams(
+        primal=CodeParams(length, dim, graphs.min_degree_formula(spec)),
+        dual=CodeParams(length, length - dim, dual_d),
+        source=source,
+    )

@@ -22,9 +22,6 @@ class PrimeField:
         if not is_prime(self.r):
             raise ValueError(f"field order must be prime, got {self.r}")
 
-    def inv(self, a: int) -> int:
-        return pow(int(a) % self.r, -1, self.r)
-
 
 class GfMatrix:
     """Dense matrix over GF(r). Externally immutable; operations copy."""

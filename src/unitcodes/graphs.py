@@ -22,7 +22,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, maximum_flow, shortest_path
 
 from .gfmatrix import GfMatrix, PrimeField
-from .rings import RingSpec, euler_phi
+from .rings import ParityCase, RingSpec, euler_phi
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,13 @@ class GraphInvariants:
     diameter: Optional[int]  # None = infinite (disconnected)
     bipartite: bool
     bipartition: Optional[tuple[frozenset[int], frozenset[int]]]
-    girth: Optional[int]  # None = infinite (forest)
+    cycle: Optional[tuple[int, ...]]  # edge indices of a shortest cycle; None = forest
     min_degree: int
     edge_connectivity: int
+
+    @property
+    def girth(self) -> Optional[int]:  # None = infinite (forest)
+        return None if self.cycle is None else len(self.cycle)
 
 
 def build(spec: RingSpec) -> UnitGraph:
@@ -93,6 +97,15 @@ def edge_count_formula(spec: RingSpec) -> int:
     if n % 2 == 1 and m % 2 == 1:
         return (n * m - 1) * phi // 2
     return n * m * phi // 2
+
+
+def min_degree_formula(spec: RingSpec) -> int:
+    """Closed-form minimum degree, which the theorems equate with the edge
+    connectivity and the code's minimum distance: x has phi(n) phi(m)
+    neighbours, less one when 2x is a unit, as it is for some x exactly
+    when n and m are both odd."""
+    phi = euler_phi(spec.n) * euler_phi(spec.m)
+    return phi - 1 if spec.parity_case() == ParityCase.BOTH_ODD else phi
 
 
 def _adjacency_csr(g: UnitGraph, data_value: int = 1) -> csr_matrix:
@@ -221,13 +234,14 @@ def invariants(g: UnitGraph) -> GraphInvariants:
     else:
         diameter = None
     sides = _bipartition(g)
+    cycle = shortest_cycle(g)
     return GraphInvariants(
         connected=connected,
         num_components=int(ncomp),
         diameter=diameter,
         bipartite=sides is not None,
         bipartition=sides,
-        girth=girth(g),
+        cycle=None if cycle is None else tuple(cycle),
         min_degree=min(len(nb) for nb in g.adjacency),
         edge_connectivity=edge_connectivity(g),
     )

@@ -42,6 +42,13 @@ class CaseTag(Enum):
     OTHER = "Other"
 
 
+# the cases the paper proves its closed forms for; the General* cases have
+# only the conjectures
+THEOREM_TAGS = frozenset({
+    CaseTag.PP_ODD_ODD, CaseTag.PP_ODD_TWO, CaseTag.PPPP_ODD_ODD, CaseTag.PPPP_ONE_EVEN,
+})
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """The ring Z_n (+) Z_m with componentwise modular arithmetic."""
@@ -70,9 +77,6 @@ class RingSpec:
         for a in range(self.n):
             for b in range(self.m):
                 yield (a, b)
-
-    def index(self, x: Element) -> int:
-        return x[0] * self.m + x[1]
 
     def element(self, idx: int) -> Element:
         return divmod(idx, self.m)

@@ -10,18 +10,20 @@ reportable finding and does not.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Any, Optional
 
 from . import codes, graphs
-from .codes import DEFAULT_BUDGET, DEFAULT_DUAL_CAP, DEFAULT_DUAL_NODES, PredictionSource
-from .rings import CaseTag, ParityCase, RingSpec, classify
+from .codes import DEFAULT_BUDGET, DEFAULT_DUAL_CAP, DEFAULT_DUAL_NODES
+from .gfmatrix import PrimeField
+from .rings import THEOREM_TAGS, CaseTag, ParityCase, RingSpec, classify
 
-DEFAULT_NULLSPACE_CAP = 2000
-DEFAULT_MATRIX_ENTRY_CAP = 200_000
+NULLSPACE_CAP = 2000  # longest code whose dual basis is checked against H
+MATRIX_ENTRY_CAP = 200_000  # largest |V| |E| for which the code layer runs
 
 
 class Status(Enum):
@@ -59,10 +61,6 @@ class SweepConfig:
     m_range: tuple[int, int]
     fields: tuple[int, ...]
     budget: int = DEFAULT_BUDGET
-    dual_cap: int = DEFAULT_DUAL_CAP
-    dual_nodes: int = DEFAULT_DUAL_NODES
-    nullspace_cap: int = DEFAULT_NULLSPACE_CAP
-    matrix_entry_cap: int = DEFAULT_MATRIX_ENTRY_CAP
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -71,6 +69,12 @@ class SweepConfig:
                 raise ValueError(f"ranges must stay within [2, 64], got {lo}..{hi}")
         if self.budget < 2**10:
             raise ValueError("enumeration budget must be at least 2^10")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if not self.fields:
+            raise ValueError("fields must name at least one prime")
+        for r in self.fields:
+            PrimeField(r)  # raises ValueError for a non-prime order
 
     def instances(self) -> list[tuple[int, int, int]]:
         out = []
@@ -101,7 +105,6 @@ def check_instance(n: int, m: int, r: int, config: SweepConfig) -> CheckRecord:
     profile = classify(spec)
     parity = spec.parity_case()
     g, inv = _graph_data(n, m)
-    phi = profile.phi_n() * profile.phi_m()
     out: list[Check] = []
 
     # --- graph-side checks -------------------------------------------------
@@ -127,15 +130,14 @@ def check_instance(n: int, m: int, r: int, config: SweepConfig) -> CheckRecord:
                          Status.SKIPPED, "both moduli not even"))
 
     tag = profile.case_tag
-    odd_theorem = tag in (CaseTag.PP_ODD_ODD, CaseTag.PPPP_ODD_ODD)
-    even_theorem = tag in (CaseTag.PP_ODD_TWO, CaseTag.PPPP_ONE_EVEN)
+    theorem = tag in THEOREM_TAGS
 
-    if odd_theorem:
+    if theorem and parity == ParityCase.BOTH_ODD:
         ok = inv.connected and inv.diameter is not None and inv.diameter <= 2
         out.append(Check("DiameterBound", "connected, diam <= 2",
                          f"connected={inv.connected}, diam={_fin(inv.diameter)}",
                          Status.PASS if ok else Status.FAIL))
-    elif even_theorem:
+    elif theorem:  # one modulus even
         ok = (inv.connected and inv.bipartite
               and inv.diameter is not None and inv.diameter <= 3)
         out.append(Check("DiameterBound", "connected bipartite, diam <= 3",
@@ -160,13 +162,8 @@ def check_instance(n: int, m: int, r: int, config: SweepConfig) -> CheckRecord:
         out.append(Check("ConjectureI", None, None,
                          Status.SKIPPED, "both-even pairs are not covered"))
 
-    if odd_theorem:
-        pred_lambda: Optional[int] = phi - 1
-    elif even_theorem:
-        pred_lambda = phi
-    else:
-        pred_lambda = None
-    if pred_lambda is not None:
+    if theorem:
+        pred_lambda = graphs.min_degree_formula(spec)
         out.append(Check("LambdaFormula", pred_lambda, inv.edge_connectivity,
                          Status.PASS if inv.edge_connectivity == pred_lambda else Status.FAIL))
     else:
@@ -209,15 +206,14 @@ def _code_checks(g, inv, profile, r: int, config: SweepConfig) -> list[Check]:
     if not inv.connected:
         return [Check(name, None, None, Status.SKIPPED, "disconnected - no theorem applies")
                 for name in _CODE_CHECK_NAMES]
-    if g.num_vertices * g.num_edges > config.matrix_entry_cap:
+    if g.num_vertices * g.num_edges > MATRIX_ENTRY_CAP:
         return [Check(name, None, None, Status.SKIPPED, "incidence matrix above size cap")
                 for name in _CODE_CHECK_NAMES]
 
     code = codes.from_incidence(g, r)
     prediction = codes.predict(profile, r)
-    conj = _conjecture_params(profile, r)
     # primal distance only matters when some claim consumes it
-    if prediction.source.is_theorem or conj is not None or r == 2 or inv.bipartite:
+    if prediction.primal is not None or r == 2 or inv.bipartite:
         dist = codes.min_distance_exact(code, config.budget)
     else:
         dist = codes.DistanceResult.unknown(1, code.length, "no distance claim")
@@ -226,24 +222,21 @@ def _code_checks(g, inv, profile, r: int, config: SweepConfig) -> list[Check]:
 
     # theorem-backed primal parameters
     if prediction.source.is_theorem:
-        pred = prediction.primal
-        out.append(_compare_params(pred, code, dist, theorem=True))
+        out.append(_compare_params(prediction.primal, code, dist, theorem=True))
     elif r == 2 or inv.bipartite:
         # generic incidence-code parameters [|E|, |V|-1, lambda]
         pred = codes.CodeParams(g.num_edges, g.num_vertices - 1, inv.edge_connectivity)
         check = _compare_params(pred, code, dist, theorem=True)
-        out.append(Check(check.name, check.predicted, check.observed, check.status,
-                         (check.reason + "; " if check.reason else "")
-                         + "generic incidence-code parameters"))
+        out.append(replace(check, reason=(check.reason + "; " if check.reason else "")
+                           + "generic incidence-code parameters"))
     else:
         out.append(Check("CodeParamsVsPredicted", None, observed,
                          Status.SKIPPED, "no theorem applies"))
 
-    # conjecture-shape prediction (shadows the theorem cases)
-    if conj is not None:
-        check = _compare_params(conj, code, dist, theorem=False)
-        out.append(Check("ConjectureII", check.predicted, check.observed,
-                         check.status, check.reason))
+    # conjecture-shape prediction: every case with a prediction, theorem or not
+    if prediction.primal is not None:
+        check = _compare_params(prediction.primal, code, dist, theorem=False)
+        out.append(replace(check, name="ConjectureII"))
     else:
         out.append(Check("ConjectureII", None, observed,
                          Status.SKIPPED, "field parity does not match the conjecture"))
@@ -260,18 +253,20 @@ def _code_checks(g, inv, profile, r: int, config: SweepConfig) -> list[Check]:
                          Status.SKIPPED, "needs r = 2 or a bipartite graph with odd r"))
 
     dual_dim = codes.dual_dimension(code)
-    if code.length <= config.nullspace_cap:
-        null_dim = code.generator.nullspace().rank()
-        out.append(Check("DualDimension", dual_dim, null_dim,
-                         Status.PASS if null_dim == dual_dim else Status.FAIL))
+    if code.length <= NULLSPACE_CAP:
+        # the nullspace of the rref basis has E - k independent rows by
+        # construction; what can fail is that they are dual codewords of H
+        null = code.basis.nullspace()
+        ok = null.rows == dual_dim and not (
+            (code.generator.array() @ null.array().T) % code.r).any()
+        out.append(Check("DualDimension", dual_dim, null.rows,
+                         Status.PASS if ok else Status.FAIL))
     else:
         out.append(Check("DualDimension", dual_dim, None,
                          Status.SKIPPED, "nullspace cross-check above size cap"))
 
-    # invariants() has already run shortest_cycle for the girth; run it
-    # again only when the dual search can use the cycle
-    hint = graphs.shortest_cycle(g) if codes.uses_cycle_hint(code, config.dual_nodes) else None
-    dual = codes.dual_min_distance(code, config.dual_cap, config.dual_nodes, cycle_hint=hint)
+    hint = inv.cycle if codes.uses_cycle_hint(code) else None
+    dual = codes.dual_min_distance(code, cycle_hint=hint)
     if prediction.source.is_theorem and prediction.dual is not None:
         if dual.exact:
             out.append(Check("DualDistanceVsPredicted", prediction.dual.min_distance, dual.value,
@@ -296,17 +291,6 @@ def _code_checks(g, inv, profile, r: int, config: SweepConfig) -> list[Check]:
         out.append(Check("DualDistanceEqualsGirth(GF(2))", None, None,
                          Status.SKIPPED, "binary field only"))
     return out
-
-
-def _conjecture_params(profile, r: int) -> Optional[codes.CodeParams]:
-    n, m = profile.n, profile.m
-    phi = profile.phi_n() * profile.phi_m()
-    parity = profile.spec.parity_case()
-    if parity == ParityCase.BOTH_ODD and r == 2:
-        return codes.CodeParams((n * m - 1) * phi // 2, n * m - 1, phi - 1)
-    if parity == ParityCase.EXACTLY_ONE_EVEN and r != 2:
-        return codes.CodeParams(n * m * phi // 2, n * m - 1, phi)
-    return None
 
 
 def _compare_params(pred: codes.CodeParams, code: codes.LinearCode,
@@ -343,8 +327,10 @@ def sweep(config: SweepConfig) -> list[CheckRecord]:
     groups = [(n, m, fields, config)
               for n in range((config.n_range[0]), config.n_range[1] + 1)
               for m in range(config.m_range[0], config.m_range[1] + 1)]
-    if config.jobs > 1 and len(groups) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # the pool may fork every worker up front, wanted or not
+    workers = min(config.jobs, len(groups), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_group, groups, chunksize=1))
     else:
         results = [_run_group(g) for g in groups]
@@ -392,10 +378,10 @@ def report_json(config: SweepConfig, records: list[CheckRecord]) -> str:
             "m_range": list(config.m_range),
             "fields": sorted(config.fields),
             "budget": config.budget,
-            "dual_cap": config.dual_cap,
-            "dual_nodes": config.dual_nodes,
-            "nullspace_cap": config.nullspace_cap,
-            "matrix_entry_cap": config.matrix_entry_cap,
+            "dual_cap": DEFAULT_DUAL_CAP,
+            "dual_nodes": DEFAULT_DUAL_NODES,
+            "nullspace_cap": NULLSPACE_CAP,
+            "matrix_entry_cap": MATRIX_ENTRY_CAP,
         },
         "records": [
             {

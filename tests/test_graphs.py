@@ -23,6 +23,7 @@ from unitcodes.graphs import (
     incidence_matrix,
     incidence_text,
     invariants,
+    min_degree_formula,
     shortest_cycle,
 )
 from unitcodes.rings import RingSpec, euler_phi
@@ -203,6 +204,14 @@ def test_degree_counts():
         assert g.degree(v) == expect
 
 
+def test_min_degree_formula():
+    for n in range(2, 13):
+        for m in range(2, 13):
+            g = build(RingSpec(n, m))
+            assert min(g.degree(v) for v in range(g.num_vertices)) == \
+                min_degree_formula(RingSpec(n, m)), (n, m)
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -215,6 +224,7 @@ def test_invariants_against_oracles(n, m):
     assert inv.connected == (oracle_diameter(g) is not None)
     assert inv.bipartite == oracle_bipartite(g)
     assert inv.girth == oracle_girth(g)
+    assert inv.cycle == (None if inv.cycle is None else tuple(shortest_cycle(g)))
     assert inv.edge_connectivity == oracle_edge_connectivity(g)
     assert inv.min_degree == min(g.degree(v) for v in range(g.num_vertices))
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from unitcodes import graphs, verify
+from unitcodes.gfmatrix import GfMatrix
 from unitcodes.rings import CaseTag
 from unitcodes.verify import (
     Check,
@@ -52,6 +54,33 @@ def test_check_instance_3_5_gf2_values():
     assert checks["CodeParamsVsPredicted"].observed == [56, 14, 7]
     assert checks["DualDimension"].status == Status.PASS
     assert checks["DualDistanceVsPredicted"].predicted == 3
+
+
+def test_dual_dimension_fails_on_a_corrupted_nullspace(monkeypatch):
+    # a basis of the right size whose first row is no longer a dual codeword
+    honest = GfMatrix.nullspace
+
+    def corrupted(self):
+        basis = honest(self).array().copy()
+        _, pivots = self.rref()
+        basis[0, pivots[0]] = (basis[0, pivots[0]] + 1) % self.r
+        return GfMatrix(self.field, basis)
+
+    monkeypatch.setattr(GfMatrix, "nullspace", corrupted)
+    check = _by_name(check_instance(3, 5, 2, CONFIG))["DualDimension"]
+    assert (check.predicted, check.observed, check.status) == (42, 42, Status.FAIL)
+
+
+def test_cycle_hint_reuses_the_girth_cycle(monkeypatch):
+    # (7,8) over GF(2) is above the collision gate, so the dual search
+    # takes the cycle that invariants() found instead of a second search
+    calls = []
+    search = graphs.shortest_cycle
+    monkeypatch.setattr(graphs, "shortest_cycle", lambda g: calls.append(g) or search(g))
+    verify._graph_data.cache_clear()
+    check = _by_name(check_instance(7, 8, 2, CONFIG))["DualDistanceEqualsGirth(GF(2))"]
+    assert (check.status, check.reason) == (Status.PASS, "method: cycle shortcut")
+    assert len(calls) == 1
 
 
 def test_check_instance_both_even_skips_codes():
@@ -170,6 +199,37 @@ def test_config_validation():
         SweepConfig(n_range=(2, 65), m_range=(2, 5), fields=(2,))
     with pytest.raises(ValueError):
         SweepConfig(n_range=(2, 4), m_range=(2, 4), fields=(2,), budget=16)
+    with pytest.raises(ValueError):
+        SweepConfig(n_range=(2, 4), m_range=(2, 4), fields=(2,), jobs=0)
+    with pytest.raises(ValueError):
+        SweepConfig(n_range=(2, 4), m_range=(2, 4), fields=())
+    with pytest.raises(ValueError):
+        SweepConfig(n_range=(2, 4), m_range=(2, 4), fields=(2, 9))
+
+
+def test_sweep_workers_bounded(monkeypatch):
+    # a stand-in pool that runs in this process and records its size
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+    sweep(SweepConfig(n_range=(2, 3), m_range=(2, 2), fields=(2,), jobs=64))  # 2 groups
+    sweep(SweepConfig(n_range=(2, 3), m_range=(2, 3), fields=(2,), jobs=64))  # 4 groups
+    sweep(SweepConfig(n_range=(2, 3), m_range=(2, 3), fields=(2,), jobs=1))
+    assert sizes == [2, 3]
 
 
 def test_empty_range_sweep():
