@@ -108,16 +108,12 @@ def min_degree_formula(spec: RingSpec) -> int:
     return phi - 1 if spec.parity_case() == ParityCase.BOTH_ODD else phi
 
 
-def _adjacency_csr(g: UnitGraph, data_value: int = 1) -> csr_matrix:
+def _adjacency_csr(g: UnitGraph) -> csr_matrix:
     nv = g.num_vertices
-    if not g.edges:
-        return csr_matrix((nv, nv), dtype=np.int64)
-    us = np.fromiter((u for u, _ in g.edges), dtype=np.int64)
-    ws = np.fromiter((w for _, w in g.edges), dtype=np.int64)
-    rows = np.concatenate([us, ws])
-    cols = np.concatenate([ws, us])
-    data = np.full(rows.shape, data_value, dtype=np.int64)
-    return csr_matrix((data, (rows, cols)), shape=(nv, nv))
+    ends = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([ends[:, 0], ends[:, 1]])
+    cols = np.concatenate([ends[:, 1], ends[:, 0]])
+    return csr_matrix((np.ones(rows.shape, dtype=np.int64), (rows, cols)), shape=(nv, nv))
 
 
 def _bipartition(g: UnitGraph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
@@ -141,19 +137,27 @@ def _bipartition(g: UnitGraph) -> Optional[tuple[frozenset[int], frozenset[int]]
     return side0, side1
 
 
-def shortest_cycle(g: UnitGraph) -> Optional[list[int]]:
+def shortest_cycle(g: UnitGraph, bipartite: Optional[bool] = None) -> Optional[list[int]]:
     """A shortest cycle as a list of edge indices, or None for a forest.
 
     Per-root BFS: a non-tree edge closing at depths (d(u), d(w)) yields a
     closed walk; trimming the two tree paths at their lowest common
     ancestor leaves a simple cycle (tree paths cannot re-meet). The
     minimum over all roots and closing edges is the girth.
+
+    The scan stops once a cycle reaches the floor, 4 for a bipartite graph
+    (no odd cycles) and 3 otherwise; `bipartite` is worked out when not
+    given. Later roots replace the best cycle only when strictly shorter,
+    so stopping there returns the cycle the full scan returns.
     """
+    if bipartite is None:
+        bipartite = _bipartition(g) is not None
+    floor = 4 if bipartite else 3
     best_len: Optional[int] = None
     best_cycle: Optional[list[tuple[int, int]]] = None
     nv = g.num_vertices
     for root in range(nv):
-        if best_len == 3:
+        if best_len == floor:
             break
         dist = [-1] * nv
         parent = [-1] * nv
@@ -207,20 +211,34 @@ def girth(g: UnitGraph) -> Optional[int]:
     return None if cyc is None else len(cyc)
 
 
-def edge_connectivity(g: UnitGraph) -> int:
-    """Max-flow min-cut oracle: fix s = vertex 0, minimize unit-capacity
-    max flow over all targets. Disconnected graphs have connectivity 0."""
-    nv = g.num_vertices
-    if nv <= 1 or not g.edges:
-        return 0
-    adj = _adjacency_csr(g)
-    ncomp, _ = connected_components(adj, directed=False)
-    if ncomp > 1:
-        return 0
-    best = min(len(nb) for nb in g.adjacency)  # lambda <= delta
-    for t in range(1, nv):
-        flow = maximum_flow(adj, 0, t).flow_value
-        best = min(best, int(flow))
+def _dominating_set(adj: csr_matrix) -> list[int]:
+    """Greedy dominating set: vertex 0 first, then, while some vertex is
+    undominated, the vertex whose closed neighbourhood holds the most
+    undominated vertices (ties to the smallest index)."""
+    undominated = np.ones(adj.shape[0], dtype=np.int64)
+    chosen: list[int] = []
+    v = 0
+    while True:
+        chosen.append(v)
+        undominated[v] = 0
+        undominated[adj.indices[adj.indptr[v]:adj.indptr[v + 1]]] = 0
+        if not undominated.any():
+            return chosen
+        v = int(np.argmax(adj @ undominated + undominated))
+
+
+def edge_connectivity(g: UnitGraph, adj: Optional[csr_matrix] = None) -> int:
+    """lambda = min(delta, max flow from 0 to each t in D minus {0}) for a
+    dominating set D holding 0 (Matula 1987). If lambda < delta: |S| <= delta
+    forces |dS| >= delta; so a cut below delta has more than lambda vertices
+    on each side, and each side holds a vertex with no edge leaving it, so D
+    meets both sides. D also meets every component, so a disconnected graph
+    gives 0. `adj` is the graph's adjacency CSR, built when not given."""
+    if adj is None:
+        adj = _adjacency_csr(g)
+    best = min(len(nb) for nb in g.adjacency)
+    for t in _dominating_set(adj)[1:]:
+        best = min(best, int(maximum_flow(adj, 0, t).flow_value))
     return best
 
 
@@ -234,7 +252,7 @@ def invariants(g: UnitGraph) -> GraphInvariants:
     else:
         diameter = None
     sides = _bipartition(g)
-    cycle = shortest_cycle(g)
+    cycle = shortest_cycle(g, sides is not None)
     return GraphInvariants(
         connected=connected,
         num_components=int(ncomp),
@@ -243,7 +261,7 @@ def invariants(g: UnitGraph) -> GraphInvariants:
         bipartition=sides,
         cycle=None if cycle is None else tuple(cycle),
         min_degree=min(len(nb) for nb in g.adjacency),
-        edge_connectivity=edge_connectivity(g),
+        edge_connectivity=edge_connectivity(g, adj),
     )
 
 

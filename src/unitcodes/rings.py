@@ -142,21 +142,6 @@ class StructureProfile:
     def m(self) -> int:
         return self.spec.m
 
-    def phi_n(self) -> int:
-        return euler_phi(self.n)
-
-    def phi_m(self) -> int:
-        return euler_phi(self.m)
-
-    def two_exponent(self) -> int:
-        """Exponent of 2 across both moduli (at most one modulus is even
-        for the cases that use this)."""
-        for fact in (self.n_factorization, self.m_factorization):
-            for p, e in fact:
-                if p == 2:
-                    return e
-        return 0
-
 
 def _is_two_power_times_odd_prime_power(fact: tuple[tuple[int, int], ...]) -> bool:
     """True for 2^a * q^b with q odd, a, b >= 1."""

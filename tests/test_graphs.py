@@ -8,11 +8,15 @@ Python Edmonds-Karp, bipartiteness against odd walk counts.
 
 import math
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from unitcodes import graphs
 from unitcodes.graphs import (
+    UnitGraph,
     build,
     dot_text,
     edge_count_formula,
@@ -265,10 +269,65 @@ def test_bipartition_is_parity_classes():
     assert evens in inv.bipartition
 
 
-@pytest.mark.parametrize("n,m", SMALL)
+UNIT_10 = [(n, m) for n in range(2, 11) for m in range(2, 11)]
+
+
+@pytest.mark.parametrize("n,m", UNIT_10)
 def test_edge_connectivity_cross_check(n, m):
     g = build(RingSpec(n, m))
     assert edge_connectivity(g) == oracle_edge_connectivity(g)
+
+
+def _graph_on(spec, edges):
+    """An arbitrary simple graph on the spec's vertex set, as a UnitGraph."""
+    edges = sorted({(min(u, w), max(u, w)) for u, w in edges if u != w})
+    adj = [[] for _ in range(spec.size)]
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    return UnitGraph(spec=spec, edges=tuple(edges), adjacency=tuple(tuple(sorted(nb)) for nb in adj))
+
+
+@st.composite
+def planted_cut_graphs(draw):
+    """Two dense blocks joined by a few edges, so that lambda < delta is common."""
+    spec = RingSpec(draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    order = draw(st.permutations(range(spec.size)))
+    split = draw(st.integers(2, spec.size - 2))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.6, 0.8, 1.0]))
+    edges = [e for block in (order[:split], order[split:])
+             for e in combinations(block, 2) if rng.random() < density]
+    edges += [(rng.choice(order[:split]), rng.choice(order[split:]))
+              for _ in range(draw(st.integers(1, 3)))]
+    return _graph_on(spec, edges)
+
+
+# two K6 joined by two edges: lambda = 2 < delta = 5
+@example(_graph_on(RingSpec(3, 4), [*combinations(range(6), 2), *combinations(range(6, 12), 2),
+                                    (0, 6), (1, 7)]))
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(planted_cut_graphs())
+def test_edge_connectivity_on_planted_cuts(g):
+    assert edge_connectivity(g) == oracle_edge_connectivity(g)
+
+
+@pytest.mark.parametrize("n,m", UNIT_10)
+def test_dominating_set_is_valid(n, m):
+    g = build(RingSpec(n, m))
+    dom = graphs._dominating_set(graphs._adjacency_csr(g))
+    assert dom[0] == 0
+    assert all(v in dom or any(w in dom for w in g.adjacency[v]) for v in range(g.num_vertices))
+
+
+def test_edge_connectivity_flows_only_to_the_dominating_set(monkeypatch):
+    g = build(RingSpec(13, 13))
+    dom = graphs._dominating_set(graphs._adjacency_csr(g))
+    calls = []
+    flow = graphs.maximum_flow
+    monkeypatch.setattr(graphs, "maximum_flow", lambda *args: calls.append(args) or flow(*args))
+    assert edge_connectivity(g) == min_degree_formula(g.spec)
+    assert len(calls) <= len(dom) - 1 < g.num_vertices - 1
 
 
 def test_shortest_cycle_is_a_cycle():
@@ -287,6 +346,20 @@ def test_shortest_cycle_even_case():
     g = build(RingSpec(4, 5))
     cyc = shortest_cycle(g)
     assert len(cyc) == girth(g) == oracle_girth(g) == 4
+
+
+def test_girth_floor_keeps_the_full_scan_cycle():
+    # a unit graph is bipartite iff a modulus is even; bipartite=False
+    # keeps the floor at 3, which a bipartite graph never reaches
+    for n in range(2, 13):
+        for m in range(2, 13):
+            g = build(RingSpec(n, m))
+            full = shortest_cycle(g, False)
+            assert shortest_cycle(g, n % 2 == 0 or m % 2 == 0) == full, (n, m)
+            assert shortest_cycle(g) == full, (n, m)
+    # root 0 finds a 4-cycle first; the floor is 3, so the scan goes on
+    g = _graph_on(RingSpec(2, 4), [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)])
+    assert shortest_cycle(g) == shortest_cycle(g, False) == [4, 5, 6]
 
 
 def test_girth_none_for_matching():

@@ -115,9 +115,6 @@ def test_classify_profile_details():
     profile = classify(RingSpec(9, 25))
     assert profile.n_factorization == ((3, 2),)
     assert profile.m_factorization == ((5, 2),)
-    assert profile.phi_n() == 6 and profile.phi_m() == 20
-    profile = classify(RingSpec(15, 12))
-    assert profile.two_exponent() == 2
 
 
 @given(st.integers(min_value=2, max_value=64), st.integers(min_value=2, max_value=64))

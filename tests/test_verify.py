@@ -76,7 +76,8 @@ def test_cycle_hint_reuses_the_girth_cycle(monkeypatch):
     # takes the cycle that invariants() found instead of a second search
     calls = []
     search = graphs.shortest_cycle
-    monkeypatch.setattr(graphs, "shortest_cycle", lambda g: calls.append(g) or search(g))
+    monkeypatch.setattr(graphs, "shortest_cycle",
+                        lambda g, *rest: calls.append(g) or search(g, *rest))
     verify._graph_data.cache_clear()
     check = _by_name(check_instance(7, 8, 2, CONFIG))["DualDistanceEqualsGirth(GF(2))"]
     assert (check.status, check.reason) == (Status.PASS, "method: cycle shortcut")
