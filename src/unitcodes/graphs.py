@@ -25,11 +25,11 @@ from .gfmatrix import GfMatrix, PrimeField
 from .rings import ParityCase, RingSpec, euler_phi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitGraph:
     spec: RingSpec
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    edges: np.ndarray  # read-only int32 (E, 2): (u, w) with u < w, lexicographic
+    adjacency: csr_matrix  # symmetric, unit data, sorted indices in each row
 
     @property
     def num_vertices(self) -> int:
@@ -40,7 +40,8 @@ class UnitGraph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        ptr = self.adjacency.indptr
+        return int(ptr[v + 1] - ptr[v])
 
     def vertex_label(self, v: int) -> tuple[int, int]:
         return self.spec.element(v)
@@ -79,14 +80,9 @@ def build(spec: RingSpec) -> UnitGraph:
     )
     np.fill_diagonal(unit_sum, False)
 
-    us, ws = np.nonzero(np.triu(unit_sum))
-    edges = tuple(zip(us.tolist(), ws.tolist()))
-
-    adj: list[list[int]] = [[] for _ in range(n * m)]
-    for u, w in edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    adjacency = tuple(tuple(sorted(nb)) for nb in adj)
+    edges = np.argwhere(np.triu(unit_sum)).astype(np.int32)
+    edges.flags.writeable = False
+    adjacency = csr_matrix(unit_sum).astype(np.int32)
     return UnitGraph(spec=spec, edges=edges, adjacency=adjacency)
 
 
@@ -108,16 +104,9 @@ def min_degree_formula(spec: RingSpec) -> int:
     return phi - 1 if spec.parity_case() == ParityCase.BOTH_ODD else phi
 
 
-def _adjacency_csr(g: UnitGraph) -> csr_matrix:
-    nv = g.num_vertices
-    ends = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
-    rows = np.concatenate([ends[:, 0], ends[:, 1]])
-    cols = np.concatenate([ends[:, 1], ends[:, 0]])
-    return csr_matrix((np.ones(rows.shape, dtype=np.int64), (rows, cols)), shape=(nv, nv))
-
-
 def _bipartition(g: UnitGraph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """2-coloring by BFS over every component; None if an odd cycle exists."""
+    ptr, nbrs = g.adjacency.indptr, g.adjacency.indices
     color = [-1] * g.num_vertices
     for start in range(g.num_vertices):
         if color[start] != -1:
@@ -126,7 +115,7 @@ def _bipartition(g: UnitGraph) -> Optional[tuple[frozenset[int], frozenset[int]]
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in g.adjacency[u]:
+            for w in nbrs[ptr[u]:ptr[u + 1]].tolist():
                 if color[w] == -1:
                     color[w] = 1 - color[u]
                     queue.append(w)
@@ -156,6 +145,7 @@ def shortest_cycle(g: UnitGraph, bipartite: Optional[bool] = None) -> Optional[l
     best_len: Optional[int] = None
     best_cycle: Optional[list[tuple[int, int]]] = None
     nv = g.num_vertices
+    ptr, nbrs = g.adjacency.indptr, g.adjacency.indices
     for root in range(nv):
         if best_len == floor:
             break
@@ -167,7 +157,7 @@ def shortest_cycle(g: UnitGraph, bipartite: Optional[bool] = None) -> Optional[l
             u = queue.popleft()
             if best_len is not None and 2 * dist[u] >= best_len:
                 continue
-            for w in g.adjacency[u]:
+            for w in nbrs[ptr[u]:ptr[u + 1]].tolist():
                 if dist[w] == -1:
                     dist[w] = dist[u] + 1
                     parent[w] = u
@@ -181,8 +171,9 @@ def shortest_cycle(g: UnitGraph, bipartite: Optional[bool] = None) -> Optional[l
                             best_cycle = cycle
     if best_cycle is None:
         return None
-    edge_index = {e: i for i, e in enumerate(g.edges)}
-    return sorted(edge_index[e] for e in best_cycle)
+    # edges are sorted, so their keys u |V| + w are too
+    keys = g.edges[:, 0].astype(np.int64) * nv + g.edges[:, 1]
+    return sorted(np.searchsorted(keys, [u * nv + w for u, w in best_cycle]).tolist())
 
 
 def _extract_cycle(u: int, w: int, parent: list[int]) -> list[tuple[int, int]]:
@@ -211,11 +202,12 @@ def girth(g: UnitGraph) -> Optional[int]:
     return None if cyc is None else len(cyc)
 
 
-def _dominating_set(adj: csr_matrix) -> list[int]:
+def _dominating_set(g: UnitGraph) -> list[int]:
     """Greedy dominating set: vertex 0 first, then, while some vertex is
     undominated, the vertex whose closed neighbourhood holds the most
     undominated vertices (ties to the smallest index)."""
-    undominated = np.ones(adj.shape[0], dtype=np.int64)
+    adj = g.adjacency
+    undominated = np.ones(g.num_vertices, dtype=np.int64)
     chosen: list[int] = []
     v = 0
     while True:
@@ -227,27 +219,36 @@ def _dominating_set(adj: csr_matrix) -> list[int]:
         v = int(np.argmax(adj @ undominated + undominated))
 
 
-def edge_connectivity(g: UnitGraph, adj: Optional[csr_matrix] = None) -> int:
+def edge_connectivity(g: UnitGraph) -> int:
     """lambda = min(delta, max flow from 0 to each t in D minus {0}) for a
     dominating set D holding 0 (Matula 1987). If lambda < delta: |S| <= delta
     forces |dS| >= delta; so a cut below delta has more than lambda vertices
     on each side, and each side holds a vertex with no edge leaving it, so D
     meets both sides. D also meets every component, so a disconnected graph
-    gives 0. `adj` is the graph's adjacency CSR, built when not given."""
-    if adj is None:
-        adj = _adjacency_csr(g)
-    best = min(len(nb) for nb in g.adjacency)
-    for t in _dominating_set(adj)[1:]:
-        best = min(best, int(maximum_flow(adj, 0, t).flow_value))
+    gives 0."""
+    best = int(np.diff(g.adjacency.indptr).min())
+    for t in _dominating_set(g)[1:]:
+        best = min(best, int(maximum_flow(g.adjacency, 0, t).flow_value))
     return best
 
 
+def _orbit_sources(spec: RingSpec) -> list[int]:
+    """The vertices (gcd(a, n) mod n, gcd(b, m) mod m), one per orbit of the
+    units acting by multiplication. For a unit u, x -> u x is an automorphism
+    (u x + u y = u (x + y) is a unit iff x + y is), and a is a unit times
+    gcd(a, n) in Z_n, so every vertex has the eccentricity of a source."""
+    n, m = spec.n, spec.m
+    return sorted({math.gcd(a, n) % n * m + math.gcd(b, m) % m
+                   for a in range(n) for b in range(m)})
+
+
 def invariants(g: UnitGraph) -> GraphInvariants:
-    adj = _adjacency_csr(g)
+    adj = g.adjacency
     ncomp, _ = connected_components(adj, directed=False)
     connected = ncomp == 1
     if connected:
-        dists = shortest_path(adj, method="D", unweighted=True, directed=False)
+        dists = shortest_path(adj, method="D", unweighted=True, directed=False,
+                              indices=_orbit_sources(g.spec))
         diameter: Optional[int] = int(dists.max())
     else:
         diameter = None
@@ -260,8 +261,8 @@ def invariants(g: UnitGraph) -> GraphInvariants:
         bipartite=sides is not None,
         bipartition=sides,
         cycle=None if cycle is None else tuple(cycle),
-        min_degree=min(len(nb) for nb in g.adjacency),
-        edge_connectivity=edge_connectivity(g, adj),
+        min_degree=int(np.diff(adj.indptr).min()),
+        edge_connectivity=edge_connectivity(g),
     )
 
 
@@ -270,15 +271,13 @@ def incidence_matrix(g: UnitGraph, r: int) -> GfMatrix:
     the canonical edge order."""
     field = PrimeField(r)
     mat = np.zeros((g.num_vertices, g.num_edges), dtype=np.int64)
-    for j, (u, w) in enumerate(g.edges):
-        mat[u, j] = 1
-        mat[w, j] = 1
+    mat[g.edges.T, np.arange(g.num_edges)] = 1
     return GfMatrix(field, mat)
 
 
 def edge_list_text(g: UnitGraph) -> str:
     lines = [f"{g.num_vertices} {g.num_edges}"]
-    lines += [f"{u} {w}" for u, w in g.edges]
+    lines += [f"{u} {w}" for u, w in g.edges.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -294,7 +293,7 @@ def dot_text(g: UnitGraph) -> str:
     for v in range(g.num_vertices):
         a, b = g.vertex_label(v)
         lines.append(f'  v{v} [label="({a},{b})"];')
-    for u, w in g.edges:
+    for u, w in g.edges.tolist():
         lines.append(f"  v{u} -- v{w};")
     lines.append("}")
     return "\n".join(lines) + "\n"

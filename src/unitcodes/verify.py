@@ -93,7 +93,7 @@ def _dist(res: codes.DistanceResult) -> Any:
     return res.value if res.exact else f"Unknown({res.lower},{res.upper})"
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)  # sweep visits each (n, m) once, for all its fields
 def _graph_data(n: int, m: int):
     spec = RingSpec(n, m)
     g = graphs.build(spec)
@@ -188,12 +188,9 @@ def check_instance(n: int, m: int, r: int, config: SweepConfig) -> CheckRecord:
 
 def _parity_classes_separate(g: graphs.UnitGraph) -> bool:
     """No edge joins two vertices whose even-modulus coordinates share parity."""
-    spec = g.spec
-    coord = 1 if spec.m % 2 == 0 else 0
-    for u, w in g.edges:
-        if g.vertex_label(u)[coord] % 2 == g.vertex_label(w)[coord] % 2:
-            return False
-    return True
+    coord = 1 if g.spec.m % 2 == 0 else 0
+    parity = g.vertex_label(g.edges)[coord] % 2  # (E, 2): one column per end
+    return bool((parity[:, 0] != parity[:, 1]).all())
 
 
 _CODE_CHECK_NAMES = (

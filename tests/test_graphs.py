@@ -7,12 +7,15 @@ Python Edmonds-Karp, bipartiteness against odd walk counts.
 """
 
 import math
+import tracemalloc
 from collections import deque
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from unitcodes import graphs
 from unitcodes.graphs import (
@@ -48,23 +51,33 @@ def oracle_edges(spec):
     return out
 
 
+def neighbour_lists(g):
+    """Sorted neighbours of each vertex, from the edge list alone."""
+    out = [[] for _ in range(g.num_vertices)]
+    for u, w in g.edges.tolist():
+        out[u].append(w)
+        out[w].append(u)
+    return [sorted(nb) for nb in out]
+
+
 def oracle_girth(g):
     """Shortest cycle through edge (u, w) = 1 + shortest u-w path avoiding it."""
     best = None
-    for u, w in g.edges:
-        dist = _bfs_avoiding(g, u, w)
+    nbrs = neighbour_lists(g)
+    for u, w in g.edges.tolist():
+        dist = _bfs_avoiding(nbrs, u, w)
         if dist[w] is not None and (best is None or dist[w] + 1 < best):
             best = dist[w] + 1
     return best
 
 
-def _bfs_avoiding(g, source, forbidden):
-    dist = [None] * g.num_vertices
+def _bfs_avoiding(nbrs, source, forbidden):
+    dist = [None] * len(nbrs)
     dist[source] = 0
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for nb in g.adjacency[v]:
+        for nb in nbrs[v]:
             if v == source and nb == forbidden:
                 continue
             if dist[nb] is None:
@@ -79,8 +92,9 @@ def oracle_edge_connectivity(g):
     if nv < 2:
         return 0
     best = None
+    nbrs = neighbour_lists(g)
     for t in range(1, nv):
-        flow = _max_flow(g, 0, t)
+        flow = _max_flow(g, nbrs, 0, t)
         if best is None or flow < best:
             best = flow
         if best == 0:
@@ -88,9 +102,9 @@ def oracle_edge_connectivity(g):
     return best
 
 
-def _max_flow(g, s, t):
+def _max_flow(g, nbrs, s, t):
     cap = {}
-    for u, w in g.edges:
+    for u, w in g.edges.tolist():
         cap[(u, w)] = 1
         cap[(w, u)] = 1
     flow = 0
@@ -99,7 +113,7 @@ def _max_flow(g, s, t):
         queue = deque([s])
         while queue and t not in parent:
             v = queue.popleft()
-            for nb in g.adjacency[v]:
+            for nb in nbrs[v]:
                 if nb not in parent and cap[(v, nb)] > 0:
                     parent[nb] = v
                     queue.append(nb)
@@ -118,7 +132,7 @@ def oracle_bipartite(g):
     """Bipartite iff no closed walk of odd length: all odd traces of A^k vanish."""
     nv = g.num_vertices
     adj = np.zeros((nv, nv), dtype=object)
-    for u, w in g.edges:
+    for u, w in g.edges.tolist():
         adj[u, w] = 1
         adj[w, u] = 1
     power = adj.copy()
@@ -134,7 +148,7 @@ def oracle_diameter(g):
     nv = g.num_vertices
     inf = float("inf")
     dist = [[0 if i == j else inf for j in range(nv)] for i in range(nv)]
-    for u, w in g.edges:
+    for u, w in g.edges.tolist():
         dist[u][w] = 1
         dist[w][u] = 1
     for k in range(nv):
@@ -162,7 +176,7 @@ SMALL = [(n, m) for n in range(2, 9) for m in range(2, 9)]
 @pytest.mark.parametrize("n,m", SMALL)
 def test_build_matches_ring_scan(n, m):
     g = build(RingSpec(n, m))
-    assert list(g.edges) == oracle_edges(g.spec)
+    assert [tuple(e) for e in g.edges.tolist()] == oracle_edges(g.spec)
 
 
 @pytest.mark.parametrize("n,m", SMALL)
@@ -180,21 +194,41 @@ def test_anchor_5_5():
 def test_anchor_2_2():
     g = build(RingSpec(2, 2))
     # only (0,0)+(1,1) and (0,1)+(1,0) sum to the unit (1,1)
-    assert g.edges == ((0, 3), (1, 2))
+    assert [tuple(e) for e in g.edges.tolist()] == [(0, 3), (1, 2)]
 
 
 def test_edges_sorted_lexicographic():
     g = build(RingSpec(4, 5))
-    assert list(g.edges) == sorted(g.edges)
-    assert all(u < w for u, w in g.edges)
+    edges = [tuple(e) for e in g.edges.tolist()]
+    assert edges == sorted(edges)
+    assert all(u < w for u, w in edges)
+    assert g.edges.dtype == np.int32 and g.edges.shape == (g.num_edges, 2)
+    assert not g.edges.flags.writeable
 
 
 def test_adjacency_consistent_with_edges():
     g = build(RingSpec(6, 5))
-    rebuilt = sorted(
-        (min(u, w), max(u, w)) for u in range(g.num_vertices) for w in g.adjacency[u]
-    )
-    assert rebuilt == sorted(g.edges) * 2 or rebuilt == [e for e in sorted(g.edges) for _ in (0, 1)]
+    adj = g.adjacency
+    assert adj.shape == (g.num_vertices, g.num_vertices)
+    assert (adj != adj.T).nnz == 0
+    assert (adj.data == 1).all()
+    assert adj.has_sorted_indices
+    nbrs = neighbour_lists(g)
+    for v in range(g.num_vertices):
+        assert adj.indices[adj.indptr[v]:adj.indptr[v + 1]].tolist() == nbrs[v]
+
+
+def test_build_retains_little_memory():
+    # (31,32) has 238,080 edges: 29 MiB as tuples, under 6 MiB as arrays
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build(RingSpec(31, 32))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == edge_count_formula(g.spec)
+    assert retained < 12 * 2**20
 
 
 def test_degree_counts():
@@ -257,7 +291,7 @@ def test_invariants_one_even_bipartite():
         inv = invariants(g)
         assert inv.bipartite
         part0, part1 = inv.bipartition
-        for u, w in g.edges:
+        for u, w in g.edges.tolist():
             assert (u in part0) != (w in part0)
 
 
@@ -267,6 +301,18 @@ def test_bipartition_is_parity_classes():
     inv = invariants(g)
     evens = frozenset(v for v in range(g.num_vertices) if g.vertex_label(v)[0] % 2 == 0)
     assert evens in inv.bipartition
+
+
+UNIT_16 = [(n, m) for n in range(2, 17) for m in range(2, 17) if n % 2 == 1 or m % 2 == 1]
+
+
+@pytest.mark.parametrize("n,m", UNIT_16)
+def test_diameter_from_orbit_sources(n, m):
+    # every pair with an odd modulus is connected; the full all-pairs
+    # maximum is the reference for the per-orbit sources
+    g = build(RingSpec(n, m))
+    full = shortest_path(g.adjacency, method="D", unweighted=True, directed=False)
+    assert invariants(g).diameter == int(full.max()), (n, m)
 
 
 UNIT_10 = [(n, m) for n in range(2, 11) for m in range(2, 11)]
@@ -280,12 +326,12 @@ def test_edge_connectivity_cross_check(n, m):
 
 def _graph_on(spec, edges):
     """An arbitrary simple graph on the spec's vertex set, as a UnitGraph."""
-    edges = sorted({(min(u, w), max(u, w)) for u, w in edges if u != w})
-    adj = [[] for _ in range(spec.size)]
-    for u, w in edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    return UnitGraph(spec=spec, edges=tuple(edges), adjacency=tuple(tuple(sorted(nb)) for nb in adj))
+    edges = np.array(sorted({(min(u, w), max(u, w)) for u, w in edges if u != w}),
+                     dtype=np.int32).reshape(-1, 2)
+    edges.flags.writeable = False
+    mask = np.zeros((spec.size, spec.size), dtype=bool)
+    mask[edges[:, 0], edges[:, 1]] = mask[edges[:, 1], edges[:, 0]] = True
+    return UnitGraph(spec=spec, edges=edges, adjacency=csr_matrix(mask).astype(np.int32))
 
 
 @st.composite
@@ -315,14 +361,15 @@ def test_edge_connectivity_on_planted_cuts(g):
 @pytest.mark.parametrize("n,m", UNIT_10)
 def test_dominating_set_is_valid(n, m):
     g = build(RingSpec(n, m))
-    dom = graphs._dominating_set(graphs._adjacency_csr(g))
+    dom = graphs._dominating_set(g)
+    nbrs = neighbour_lists(g)
     assert dom[0] == 0
-    assert all(v in dom or any(w in dom for w in g.adjacency[v]) for v in range(g.num_vertices))
+    assert all(v in dom or any(w in dom for w in nbrs[v]) for v in range(g.num_vertices))
 
 
 def test_edge_connectivity_flows_only_to_the_dominating_set(monkeypatch):
     g = build(RingSpec(13, 13))
-    dom = graphs._dominating_set(graphs._adjacency_csr(g))
+    dom = graphs._dominating_set(g)
     calls = []
     flow = graphs.maximum_flow
     monkeypatch.setattr(graphs, "maximum_flow", lambda *args: calls.append(args) or flow(*args))
@@ -334,7 +381,7 @@ def test_shortest_cycle_is_a_cycle():
     g = build(RingSpec(3, 5))
     cyc = shortest_cycle(g)
     assert cyc is not None and len(cyc) == 3
-    picked = [g.edges[i] for i in cyc]
+    picked = [g.edges[i].tolist() for i in cyc]
     counts = {}
     for u, w in picked:
         counts[u] = counts.get(u, 0) + 1
@@ -377,7 +424,7 @@ def test_incidence_matrix_columns():
     h = incidence_matrix(g, 2)
     assert (h.shape[0], h.shape[1]) == (g.num_vertices, g.num_edges)
     arr = h.array()
-    for j, (u, w) in enumerate(g.edges):
+    for j, (u, w) in enumerate(g.edges.tolist()):
         col = np.nonzero(arr[:, j])[0]
         assert list(col) == sorted((u, w))
         assert arr[u, j] == 1 and arr[w, j] == 1

@@ -7,7 +7,7 @@ import pytest
 
 from unitcodes import graphs, verify
 from unitcodes.gfmatrix import GfMatrix
-from unitcodes.rings import CaseTag
+from unitcodes.rings import CaseTag, RingSpec
 from unitcodes.verify import (
     Check,
     CheckRecord,
@@ -112,6 +112,16 @@ def test_check_instance_odd_odd_odd_field_no_claims():
     checks = _by_name(check_instance(3, 5, 3, CONFIG))
     assert checks["ConjectureII"].status == Status.SKIPPED
     assert checks["DualDistanceVsPredicted"].status == Status.SKIPPED
+
+
+@pytest.mark.parametrize("n,m,planted", [(4, 5, (0, 10)), (5, 4, (0, 2))])
+def test_parity_classes_separate_finds_a_same_parity_edge(n, m, planted):
+    # planted joins (0,0) to (2,0) or (0,2): equal parity in the even modulus
+    g = graphs.build(RingSpec(n, m))
+    assert verify._parity_classes_separate(g)
+    edges = g.edges.copy()
+    edges[0] = planted
+    assert not verify._parity_classes_separate(graphs.UnitGraph(g.spec, edges, g.adjacency))
 
 
 def test_statuses_are_valid():
@@ -231,6 +241,14 @@ def test_sweep_workers_bounded(monkeypatch):
     sweep(SweepConfig(n_range=(2, 3), m_range=(2, 3), fields=(2,), jobs=64))  # 4 groups
     sweep(SweepConfig(n_range=(2, 3), m_range=(2, 3), fields=(2,), jobs=1))
     assert sizes == [2, 3]
+
+
+def test_graph_cache_keeps_one_group():
+    # a sweep visits each (n, m) once; its graph serves that group's fields only
+    verify._graph_data.cache_clear()
+    sweep(SweepConfig(n_range=(3, 5), m_range=(2, 2), fields=(2, 3)))  # 3 groups
+    info = verify._graph_data.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 3, 3)
 
 
 def test_empty_range_sweep():
