@@ -192,8 +192,7 @@ def _cmd_code(args) -> int:
 def _cmd_dual(args) -> int:
     g = graphs.build(RingSpec(args.n, args.m))
     code = codes.from_incidence(g, args.field)
-    hint = graphs.shortest_cycle(g) if codes.uses_cycle_hint(code) else None
-    dual = codes.dual_min_distance(code, cap=args.cap, cycle_hint=hint)
+    dual = codes.dual_min_distance(code, cap=args.cap)
     d = str(dual.value) if dual.exact else f"?(>= {dual.lower})"
     print(f"dual code: length {code.length}, dimension {codes.dual_dimension(code)}, "
           f"minimum distance {d}")

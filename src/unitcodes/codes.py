@@ -182,23 +182,18 @@ def dual_min_distance(
     c: LinearCode,
     cap: int = DEFAULT_DUAL_CAP,
     max_nodes: int = DEFAULT_DUAL_NODES,
-    cycle_hint: Optional[list[int]] = None,
 ) -> DistanceResult:
     """Smallest t with t linearly dependent generator columns (the
     generator of C is a parity check for the dual).
 
     Sizes 1 and 2 (zero or proportional columns) are settled by a direct
-    scan. Sizes 3 and 4 are settled together by one column-pair collision
-    pass (see ``_pair_collision``) when C(E, 2) <= ``max_nodes`` for E
-    columns and its key table fits ``_COLLISION_WORDS``; t = 5, 6, ...,
-    or every t >= 3 when the pass is gated off, go to backtracking over
-    column subsets with incremental elimination. Over GF(2) a subset-size
-    level whose search would exceed ``max_nodes`` may be answered by
-    ``cycle_hint`` (edge indices of a shortest cycle of the source graph:
-    minimal dependent column sets of an incidence matrix are exactly
-    minimal cycles); the hint is always re-validated as a genuinely
-    dependent set. Without a usable hint such a level ends the search
-    with an ``Unknown`` bracket.
+    scan. When every column has at most two nonzero entries, as in an
+    incidence matrix, sizes 3 and 4 are settled together by one pass over
+    the column pairs that share a row (see ``_pair_collision``), if its
+    key table fits ``_COLLISION_WORDS``. Every other size, or every t >= 3
+    when the pass does not run, goes to backtracking over column subsets
+    with incremental elimination, which ``max_nodes`` bounds; a level
+    beyond that bound ends the search with an ``Unknown`` bracket.
     """
     gen = c.generator
     ncols = gen.cols
@@ -208,40 +203,24 @@ def dual_min_distance(
             return DistanceResult.known(len(small), "column scan", small)
         return DistanceResult.unknown(cap + 1, ncols, "no dependence within cap")
     start = 3
-    if cap >= 3 and _collision_fits(gen, max_nodes):
-        witness = _pair_collision(gen)
+    pairs = _row_sharing_pairs(gen) if cap >= 3 else None
+    if pairs is not None:
+        witness = _pair_collision(gen, *pairs)
         if witness is not None and len(witness) <= cap:
             return DistanceResult.known(len(witness), "subset search", witness)
         start = 5  # sizes 3 and 4 are absent, or a 4-set lies beyond cap = 3
     # there is no subset larger than ncols, however large cap is
     for t in range(start, min(cap, ncols) + 1):
-        # internal search nodes are the independent (t-1)-subsets
-        if math.comb(ncols, t - 1) <= max_nodes:
-            try:
-                witness = _find_dependent_subset(gen, t, max_nodes)
-            except _SearchBudget:
-                witness = None
-            else:
-                if witness is not None:
-                    return DistanceResult.known(len(witness), "subset search", witness)
-                continue
-        if (
-            c.r == 2
-            and cycle_hint is not None
-            and t <= len(cycle_hint) <= cap
-            and gen.columns_dependent(cycle_hint)
-        ):
-            # levels below t were exhaustively excluded above
-            return DistanceResult.known(len(cycle_hint), "cycle shortcut", sorted(cycle_hint))
-        return DistanceResult.unknown(t, ncols, "search budget exceeded")
+        try:
+            # internal search nodes include the independent (t-1)-subsets
+            if math.comb(ncols, t - 1) > max_nodes:
+                raise _SearchBudget
+            witness = _find_dependent_subset(gen, t, max_nodes)
+        except _SearchBudget:
+            return DistanceResult.unknown(t, ncols, "search budget exceeded")
+        if witness is not None:
+            return DistanceResult.known(len(witness), "subset search", witness)
     return DistanceResult.unknown(cap + 1, ncols, "no dependence within cap")
-
-
-def uses_cycle_hint(c: LinearCode, max_nodes: int = DEFAULT_DUAL_NODES) -> bool:
-    """Whether ``dual_min_distance(c, max_nodes=max_nodes)`` can consult a
-    cycle hint: only over GF(2), and only when the collision pass is gated
-    off, since otherwise every level the hint could answer is searched."""
-    return c.r == 2 and not _collision_fits(c.generator, max_nodes)
 
 
 def _small_dependent_set(gen: GfMatrix) -> Optional[list[int]]:
@@ -270,17 +249,32 @@ def _normalize(cols: np.ndarray, r: int) -> np.ndarray:
 
 
 # Upper limit on the uint64 words of the collision pass's key table
-# (32 MiB): C(E, 2) (r - 1) pair keys grow with the field order r.
+# (32 MiB): one key per column and r - 1 per column pair.
 _COLLISION_WORDS = 1 << 22
 _COLLISION_BLOCK = 1 << 15  # column pairs per vectorized block
 
 
-def _collision_fits(gen: GfMatrix, max_nodes: int) -> bool:
-    """The gate of ``_pair_collision``: the size-3 search's node count
-    C(E, 2) within ``max_nodes``, and its key table within memory."""
-    pairs = math.comb(gen.cols, 2)
-    keys = gen.cols + pairs * (gen.r - 1)
-    return pairs <= max_nodes and keys * _key_words(gen.rows, gen.r) <= _COLLISION_WORDS
+def _row_sharing_pairs(gen: GfMatrix) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The column pairs i < j that share a nonzero row, each listed once,
+    for ``_pair_collision``; None when some column has more than two
+    nonzero entries, where these pairs do not settle sizes 3 and 4, or
+    when the key table would exceed ``_COLLISION_WORDS``."""
+    nz = gen.array() != 0
+    if (nz.sum(axis=0) > 2).any():
+        return None
+    deg = nz.sum(axis=1)
+    listed = int((deg * (deg - 1) // 2).sum())  # a pair sharing two rows counts twice
+    if (gen.cols + listed * (gen.r - 1)) * _key_words(gen.rows, gen.r) > _COLLISION_WORDS:
+        return None
+    ncols = gen.cols
+    keys = [np.empty(0, dtype=np.int64)]
+    for row in nz:
+        cols = np.nonzero(row)[0].astype(np.int64)
+        i, j = np.triu_indices(cols.size, 1)
+        keys.append(cols[i] * ncols + cols[j])
+    # a pair listed twice would collide with itself
+    pairs = np.unique(np.concatenate(keys))
+    return pairs // ncols, pairs % ncols
 
 
 def _key_words(rows: int, r: int) -> int:
@@ -301,25 +295,38 @@ def _pack(cols: np.ndarray, r: int) -> np.ndarray:
     return keys
 
 
-def _pair_collision(gen: GfMatrix) -> Optional[list[int]]:
+def _pair_collision(gen: GfMatrix, first: np.ndarray,
+                    second: np.ndarray) -> Optional[list[int]]:
     """A dependent set of 3 or 4 columns, or None when neither size
     occurs; requires that no set of 1 or 2 columns is dependent.
 
-    Every column pair i < j and beta in GF(r)* gives the key of
-    a_i + beta a_j scaled to first nonzero entry 1 (never zero, as a_i
-    and a_j are not proportional). A minimal dependent 3-set is a pair
-    key equal to a scaled single column; a minimal dependent 4-set is two
-    equal pair keys. Once no 3-set exists, equal pair keys come from
-    disjoint pairs, since a shared column would leave a dependence among
-    at most 3 columns. Stern's low-weight search ("A method for finding
-    codewords of small weight", 1989) matches partial sums the same way.
+    The pairs (first[p], second[p]), each with first < second and listed
+    once, must hold a pair of every minimal dependent 3-set and two
+    disjoint pairs of every minimal dependent 4-set. All C(E, 2) pairs
+    do. When no column has more than two nonzero entries, so do the
+    pairs that share a nonzero row: every row that a minimal dependent
+    set S touches holds at least two of its columns, or the dependence
+    could not cancel there, so
+    - a 3-set S has a pair that shares a row;
+    - the share-a-row graph on a 4-set S has no isolated column, so it
+      has a perfect matching unless it is a star K_{1,3}; and it is no
+      star, since two of the three leaves would lie on one of the
+      centre's two rows and so share a row as well.
+
+    Every listed pair and beta in GF(r)* gives the key of a_i + beta a_j
+    scaled to first nonzero entry 1 (never zero, as a_i and a_j are not
+    proportional). A minimal dependent 3-set is a pair key equal to a
+    scaled single column; a minimal dependent 4-set is two equal pair
+    keys. Once no 3-set exists, equal pair keys come from disjoint pairs,
+    since a shared column would leave a dependence among at most 3
+    columns. Stern's low-weight search ("A method for finding codewords
+    of small weight", 1989) matches partial sums the same way.
     """
     a = gen.array()
     r = gen.r
     ncols = a.shape[1]
     dtype = np.min_scalar_type(r * r)
     small = a.astype(dtype)
-    first, second = np.triu_indices(ncols, 1)
     npairs = first.size
     keys = np.empty((ncols + npairs * (r - 1), _key_words(a.shape[0], r)), dtype=np.uint64)
     keys[:ncols] = _pack(_normalize(small, r), r)

@@ -54,13 +54,9 @@ class GraphInvariants:
     diameter: Optional[int]  # None = infinite (disconnected)
     bipartite: bool
     bipartition: Optional[tuple[frozenset[int], frozenset[int]]]
-    cycle: Optional[tuple[int, ...]]  # edge indices of a shortest cycle; None = forest
+    girth: Optional[int]  # None = infinite (forest)
     min_degree: int
     edge_connectivity: int
-
-    @property
-    def girth(self) -> Optional[int]:  # None = infinite (forest)
-        return None if self.cycle is None else len(self.cycle)
 
 
 def build(spec: RingSpec) -> UnitGraph:
@@ -260,7 +256,7 @@ def invariants(g: UnitGraph) -> GraphInvariants:
         diameter=diameter,
         bipartite=sides is not None,
         bipartition=sides,
-        cycle=None if cycle is None else tuple(cycle),
+        girth=None if cycle is None else len(cycle),
         min_degree=int(np.diff(adj.indptr).min()),
         edge_connectivity=edge_connectivity(g),
     )

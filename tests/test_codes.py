@@ -26,7 +26,7 @@ from unitcodes.codes import (
     predict,
 )
 from unitcodes.gfmatrix import GfMatrix
-from unitcodes.graphs import build, shortest_cycle
+from unitcodes.graphs import build
 from unitcodes.rings import RingSpec, classify, euler_phi
 
 
@@ -215,7 +215,6 @@ def test_dual_distance_collision_memory_gate(monkeypatch):
     res = dual_min_distance(c)
     assert (res.exact, res.value) == (True, 4)
     _assert_minimal_witness(c.generator, res)
-    assert codes.uses_cycle_hint(_code(3, 4, 2))
 
 
 def test_dual_distance_huge_cap_terminates():
@@ -224,17 +223,99 @@ def test_dual_distance_huge_cap_terminates():
     assert not res.exact
 
 
-def test_dual_distance_cycle_hint_path():
-    # force the budget below the level size so the GF(2) shortcut engages
-    g = build(RingSpec(5, 5))
-    c = from_incidence(g, 2)
-    assert codes.uses_cycle_hint(c, max_nodes=10)
-    assert not codes.uses_cycle_hint(c)
-    hint = shortest_cycle(g)
-    res = dual_min_distance(c, max_nodes=10, cycle_hint=hint)
-    assert res.exact
-    assert res.value == 3
-    assert res.method == "cycle shortcut"
+def _full_pair_collision(gen):
+    """The collision pass over all C(E, 2) column pairs, exact for any matrix."""
+    return codes._pair_collision(gen, *np.triu_indices(gen.cols, 1))
+
+
+def test_row_sharing_pairs_list_a_double_pair_once():
+    # over GF(3), columns 0 and 1 share both rows without being proportional
+    gen = GfMatrix(3, [[1, 1, 0, 0], [1, 2, 1, 0], [0, 0, 1, 1]])
+    first, second = codes._row_sharing_pairs(gen)
+    assert list(zip(first.tolist(), second.tolist())) == [(0, 1), (0, 2), (1, 2), (2, 3)]
+    res = dual_min_distance(from_generator(gen))
+    assert res.value == oracle_dual_distance(from_generator(gen)) == 4
+    _assert_minimal_witness(gen, res)
+
+
+@st.composite
+def _weight_two_generators(draw):
+    """Pairwise non-proportional columns with one or two nonzero entries
+    over GF(r), shapes up to 6 x 11; over odd r now and then a planted
+    column on the rows of another one, and now and then a planted
+    multiple of another column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = int(rng.choice([2, 3, 5, 7]))
+    rows = int(rng.integers(3, 7))
+    # rows + C(rows, 2) (r - 1) projective points have weight 1 or 2
+    cols = min(int(rng.integers(3, 12)), rows + math.comb(rows, 2) * (r - 1))
+    picked: dict[tuple, np.ndarray] = {}
+    while len(picked) < cols:
+        v = np.zeros(rows, dtype=np.int64)
+        if picked and r > 2 and rng.random() < 0.3:
+            support = np.nonzero(list(picked.values())[-1])[0]
+        else:
+            support = rng.choice(rows, size=int(rng.integers(1, 3)), replace=False)
+        v[support] = rng.integers(1, r, size=support.size)
+        lead = int(v[np.nonzero(v)[0][0]])
+        picked.setdefault(tuple((v * pow(lead, -1, r)) % r), v)
+    a = np.array(list(picked.values())).T
+    if rng.random() < 0.15:
+        a[:, rng.integers(cols)] = (a[:, rng.integers(cols)] * rng.integers(1, r)) % r
+    return GfMatrix(r, a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(gen=_weight_two_generators())
+def test_row_sharing_pass_property(gen):
+    c = from_generator(gen)
+    truth = oracle_dual_distance(c, cap=gen.cols)
+    res = dual_min_distance(c, cap=gen.cols)
+    if truth is None:  # independent columns
+        assert (res.exact, res.lower) == (False, gen.cols + 1)
+    else:
+        assert res.exact and res.value == truth
+        _assert_minimal_witness(gen, res)
+    if codes._small_dependent_set(gen) is None:
+        restricted = codes._pair_collision(gen, *codes._row_sharing_pairs(gen))
+        full = _full_pair_collision(gen)
+        if truth in (3, 4):
+            assert len(restricted) == len(full) == truth
+            assert gen.columns_dependent(restricted)
+        else:
+            assert restricted is None and full is None
+
+
+def test_weight_three_column_skips_the_pass(monkeypatch):
+    # a column on three rows: pairs that share a row no longer settle 3 and 4
+    arr = _code(3, 4, 3).generator.array().copy()
+    arr[:, 0] = 0
+    arr[[0, 5, 10], 0] = [1, 2, 1]
+    gen = GfMatrix(3, arr)
+    assert codes._small_dependent_set(gen) is None
+    expect = len(_full_pair_collision(gen))
+    calls = []
+    honest = codes._pair_collision
+    monkeypatch.setattr(codes, "_pair_collision", lambda *a: calls.append(a) or honest(*a))
+    res = dual_min_distance(from_generator(gen))
+    assert calls == []
+    assert (res.exact, res.value, res.method) == (True, expect, "subset search")
+    _assert_minimal_witness(gen, res)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_incidence_dual_witnesses(r):
+    exact = 0
+    for n in range(2, 9):
+        for m in range(2, 9):
+            c = _code(n, m, r)
+            res = dual_min_distance(c)
+            if res.exact:
+                _assert_minimal_witness(c.generator, res)
+                exact += 1
+            else:  # a forest such as (2, 2) has no dependent columns at all
+                assert res.method == "no dependence within cap", (n, m, r)
+    assert exact >= 45
 
 
 def _reference_dual_distance(gen, cap):
@@ -293,10 +374,11 @@ def test_dual_distance_property(gen, cap, max_nodes):
 
 
 def test_dual_distance_budget_unknown():
-    c = _code(5, 5, 2)
+    # the pair pass excludes 3 and 4; the girth-6 code needs level 5, C(6, 4) > 10
+    c = _code(2, 3, 2)
     res = dual_min_distance(c, max_nodes=10)
     assert not res.exact
-    assert res.lower >= 2
+    assert res.lower >= 5
 
 
 def test_dual_distance_cap_exhausted():

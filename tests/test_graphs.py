@@ -262,7 +262,6 @@ def test_invariants_against_oracles(n, m):
     assert inv.connected == (oracle_diameter(g) is not None)
     assert inv.bipartite == oracle_bipartite(g)
     assert inv.girth == oracle_girth(g)
-    assert inv.cycle == (None if inv.cycle is None else tuple(shortest_cycle(g)))
     assert inv.edge_connectivity == oracle_edge_connectivity(g)
     assert inv.min_degree == min(g.degree(v) for v in range(g.num_vertices))
 

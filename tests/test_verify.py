@@ -1,11 +1,12 @@
 """Tests for the verification harness: per-instance checks, sweeps, reports."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from unitcodes import graphs, verify
+from unitcodes import codes, graphs, verify
 from unitcodes.gfmatrix import GfMatrix
 from unitcodes.rings import CaseTag, RingSpec
 from unitcodes.verify import (
@@ -56,32 +57,27 @@ def test_check_instance_3_5_gf2_values():
     assert checks["DualDistanceVsPredicted"].predicted == 3
 
 
-def test_dual_dimension_fails_on_a_corrupted_nullspace(monkeypatch):
-    # a basis of the right size whose first row is no longer a dual codeword
-    honest = GfMatrix.nullspace
+def test_dual_dimension_fails_on_a_planted_wrong_rank(monkeypatch):
+    # a basis one row short: elimination's rank no longer matches |V| - 1
+    honest = codes.from_incidence
 
-    def corrupted(self):
-        basis = honest(self).array().copy()
-        _, pivots = self.rref()
-        basis[0, pivots[0]] = (basis[0, pivots[0]] + 1) % self.r
-        return GfMatrix(self.field, basis)
+    def short(g, r):
+        code = honest(g, r)
+        return replace(code, basis=GfMatrix(code.field, code.basis.array()[:-1]))
 
-    monkeypatch.setattr(GfMatrix, "nullspace", corrupted)
+    monkeypatch.setattr(codes, "from_incidence", short)
     check = _by_name(check_instance(3, 5, 2, CONFIG))["DualDimension"]
-    assert (check.predicted, check.observed, check.status) == (42, 42, Status.FAIL)
+    assert (check.predicted, check.observed, check.status) == (42, 43, Status.FAIL)
 
 
-def test_cycle_hint_reuses_the_girth_cycle(monkeypatch):
-    # (7,8) over GF(2) is above the collision gate, so the dual search
-    # takes the cycle that invariants() found instead of a second search
-    calls = []
-    search = graphs.shortest_cycle
-    monkeypatch.setattr(graphs, "shortest_cycle",
-                        lambda g, *rest: calls.append(g) or search(g, *rest))
-    verify._graph_data.cache_clear()
-    check = _by_name(check_instance(7, 8, 2, CONFIG))["DualDistanceEqualsGirth(GF(2))"]
-    assert (check.status, check.reason) == (Status.PASS, "method: cycle shortcut")
-    assert len(calls) == 1
+def test_distance_bracket_is_skipped_not_passed():
+    # (7,9) over GF(2) has r^k = 2^62 messages: the distance is only [1, E]
+    checks = _by_name(check_instance(7, 9, 2, CONFIG))
+    for name in ("CodeParamsVsPredicted", "ConjectureII"):
+        check = checks[name]
+        assert check.observed == [1116, 62, "Unknown(1,1116)"]
+        assert (check.status, check.reason) == (
+            Status.SKIPPED, "distance only bracketed in [1,1116] (budget exceeded)")
 
 
 def test_check_instance_both_even_skips_codes():
@@ -94,10 +90,14 @@ def test_check_instance_both_even_skips_codes():
 
 
 def test_check_instance_conjectures():
-    # (6,5): general one-even, so Conjecture I applies and II over odd r
+    # (6,5): general one-even, so Conjecture I applies and II over odd r;
+    # 3^29 messages are past the budget, so II's distance is only bracketed
     checks = _by_name(check_instance(6, 5, 3, CONFIG))
     assert checks["ConjectureI"].status == Status.CONJECTURE_PASS
-    assert checks["ConjectureII"].status == Status.CONJECTURE_PASS
+    ii = checks["ConjectureII"]
+    assert ii.predicted == [120, 29, 8]
+    assert (ii.status, ii.reason) == (
+        Status.SKIPPED, "distance only bracketed in [1,120] (budget exceeded)")
     assert checks["BipartiteIffOneEven"].status == Status.PASS
 
 
@@ -187,9 +187,10 @@ def test_report_json_deterministic(small_sweep):
 
 
 def test_report_matches_golden(small_sweep):
-    # past [2,6]^2: (7,8) and (7,9) reach the dependent-column search budget,
-    # (7,11) the nullspace cap and the GF(2) cycle shortcut, and (11,12) the
-    # incidence-matrix cap; the goldens pin every byte of both reports
+    # past [2,6]^2: (7,8), (7,9) and (7,11) have dual distances that only the
+    # row-sharing pair pass settles and primal distances past the enumeration
+    # budget, and (11,12) is past the incidence-matrix cap; the goldens pin
+    # every byte of both reports
     records = small_sweep + [check_instance(n, m, r, CONFIG)
                              for n, m in [(7, 8), (7, 9), (7, 11), (11, 12)] for r in (2, 3)]
     assert report_json(CONFIG, records).encode() == (GOLDEN / "verify_report.json").read_bytes()
