@@ -49,8 +49,9 @@ def _prime(text: str) -> int:
 
 def _modulus(text: str) -> int:
     k = _int(text)
-    if k < 2:
-        raise argparse.ArgumentTypeError(f"modulus must be >= 2, got {k}")
+    if not 2 <= k <= verify.MAX_MODULUS:
+        raise argparse.ArgumentTypeError(
+            f"modulus must lie in [2, {verify.MAX_MODULUS}], got {k}")
     return k
 
 
@@ -115,7 +116,6 @@ def build_parser() -> _Parser:
     p.add_argument("n", type=_modulus)
     p.add_argument("m", type=_modulus)
     p.add_argument("--field", type=_prime, required=True)
-    p.add_argument("--cap", type=_positive, default=codes.DEFAULT_DUAL_CAP)
 
     p = sub.add_parser("verify", help="sweep ranges and check every applicable closed form")
     p.add_argument("--n", type=_range, required=True, metavar="A..B")
@@ -192,8 +192,9 @@ def _cmd_code(args) -> int:
 def _cmd_dual(args) -> int:
     g = graphs.build(RingSpec(args.n, args.m))
     code = codes.from_incidence(g, args.field)
-    dual = codes.dual_min_distance(code, cap=args.cap)
-    d = str(dual.value) if dual.exact else f"?(>= {dual.lower})"
+    dual = codes.dual_min_distance(code)
+    d = (str(dual.value) if dual.exact else "none (zero code)"
+         if dual.method == "zero code" else f"?(>= {dual.lower})")
     print(f"dual code: length {code.length}, dimension {codes.dual_dimension(code)}, "
           f"minimum distance {d}")
     if dual.witness is not None:

@@ -19,7 +19,6 @@ from .gfmatrix import GfMatrix, PrimeField
 from .rings import CaseTag, StructureProfile
 
 DEFAULT_BUDGET = 2**26
-DEFAULT_DUAL_CAP = 8
 DEFAULT_DUAL_NODES = 200_000
 
 
@@ -93,11 +92,7 @@ def min_distance_exact(c: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceR
         return DistanceResult.unknown(1, n, "zero code")
     if r**k > budget:
         return DistanceResult.unknown(1, n, "budget exceeded")
-    if r == 2:
-        best = _enumerate_gf2(c.basis.array())
-    else:
-        best = _enumerate_gfp(c.basis.array(), r)
-    return DistanceResult.known(best, "exhaustive")
+    return DistanceResult.known(_enumerate(c.basis.array(), r), "exhaustive")
 
 
 def _tail_size(k: int, r: int, max_rows: int = 1 << 16) -> int:
@@ -107,64 +102,46 @@ def _tail_size(k: int, r: int, max_rows: int = 1 << 16) -> int:
     return max(j, 1) if k >= 1 else 0
 
 
-def _enumerate_gf2(basis: np.ndarray) -> int:
-    k, n = basis.shape
-    packed = np.packbits(basis.astype(np.uint8), axis=1)
-    j = _tail_size(k, 2)
-    table = np.zeros((1, packed.shape[1]), dtype=np.uint8)
-    for i in range(k - j, k):
-        table = np.vstack([table, table ^ packed[i]])
-    best = n + 1
-    prefix = np.zeros(packed.shape[1], dtype=np.uint8)
-    digits = [0] * (k - j)
-    while True:
-        weights = np.bitwise_count(prefix ^ table).sum(axis=1)
-        if any(digits):
-            w = int(weights.min())
-        else:
-            w = int(weights[1:].min()) if len(weights) > 1 else best
-        best = min(best, w)
-        # advance the prefix odometer
-        i = 0
-        while i < len(digits):
-            prefix ^= packed[i]
-            digits[i] ^= 1
-            if digits[i]:
-                break
-            i += 1
-        else:
-            return best
+def _enumerate(basis: np.ndarray, r: int) -> int:
+    """Lightest nonzero word in the row space of ``basis`` (k >= 1 rows).
 
-
-def _enumerate_gfp(basis: np.ndarray, r: int) -> int:
+    Over GF(2) a row is packed into bits, XOR adds two rows and a
+    popcount weighs one; over any other field a row keeps one byte per
+    entry, adds mod r and is weighed by ``count_nonzero``.
+    """
     if r > 127:
         raise ValueError("enumeration supports field orders up to 127")
     k, n = basis.shape
-    rows = basis.astype(np.uint8)
+    if r == 2:
+        rows = np.packbits(basis.astype(np.uint8), axis=1)
+        add = np.bitwise_xor
+        weigh = lambda words: np.bitwise_count(words).sum(axis=1)
+    else:
+        rows = basis.astype(np.uint8)
+        # x + y < 2r <= 254 does not overflow; below r, x + y - r wraps past x + y
+        add = lambda x, y: np.minimum(x + y, x + y - r)
+        weigh = lambda words: np.count_nonzero(words, axis=1)
     j = _tail_size(k, r)
-    table = np.zeros((1, n), dtype=np.uint8)
+    table = np.zeros((1, rows.shape[1]), dtype=np.uint8)
     for i in range(k - j, k):
         layers = [table]
-        shifted = table
         for _ in range(r - 1):
-            shifted = (shifted + rows[i]) % r
-            layers.append(shifted)
+            layers.append(add(layers[-1], rows[i]))
         table = np.vstack(layers)
     best = n + 1
-    prefix = np.zeros(n, dtype=np.uint8)
+    prefix = np.zeros(rows.shape[1], dtype=np.uint8)
     digits = [0] * (k - j)
     while True:
-        s = prefix + table  # entries < 2r <= 254, no overflow
-        s = np.where(s >= r, s - r, s)
-        weights = np.count_nonzero(s, axis=1)
+        weights = weigh(add(prefix, table))
         if any(digits):
             w = int(weights.min())
-        else:
-            w = int(weights[1:].min()) if len(weights) > 1 else best
+        else:  # table row 0 with a zero prefix is the zero message
+            w = int(weights[1:].min())
         best = min(best, w)
+        # advance the base-r prefix odometer
         i = 0
         while i < len(digits):
-            prefix = (prefix + rows[i]) % r
+            prefix = add(prefix, rows[i])
             digits[i] += 1
             if digits[i] < r:
                 break
@@ -178,49 +155,47 @@ def _enumerate_gfp(basis: np.ndarray, r: int) -> int:
 # Dual minimum distance by dependent-column search
 # ---------------------------------------------------------------------------
 
-def dual_min_distance(
-    c: LinearCode,
-    cap: int = DEFAULT_DUAL_CAP,
-    max_nodes: int = DEFAULT_DUAL_NODES,
-) -> DistanceResult:
+def dual_min_distance(c: LinearCode, max_nodes: int = DEFAULT_DUAL_NODES) -> DistanceResult:
     """Smallest t with t linearly dependent generator columns (the
     generator of C is a parity check for the dual).
 
-    Sizes 1 and 2 (zero or proportional columns) are settled by a direct
-    scan. When every column has at most two nonzero entries, as in an
-    incidence matrix, sizes 3 and 4 are settled together by one pass over
-    the column pairs that share a row (see ``_pair_collision``), if its
-    key table fits ``_COLLISION_WORDS``. Every other size, or every t >= 3
-    when the pass does not run, goes to backtracking over column subsets
-    with incremental elimination, which ``max_nodes`` bounds; a level
-    beyond that bound ends the search with an ``Unknown`` bracket.
+    With rank k = E no columns are dependent: the dual is the zero code.
+    Otherwise sizes 1 and 2 (zero or proportional columns) are settled
+    by a direct scan. When every column has at most two nonzero entries,
+    as in an incidence matrix, sizes 3 and 4 are settled together by one
+    pass over the column pairs that share a row (see ``_pair_collision``),
+    if its key table fits ``_COLLISION_WORDS``. Every other size goes to
+    backtracking over column subsets with incremental elimination, up to
+    size k + 1, where any columns are dependent; past ``max_nodes`` nodes
+    over all sizes, a search at size t gives ``Unknown(t, k + 1)``.
     """
     gen = c.generator
-    ncols = gen.cols
+    ncols, k = gen.cols, c.dimension
+    if k == ncols:
+        return DistanceResult.unknown(1, ncols, "zero code")
     small = _small_dependent_set(gen)
     if small is not None:
-        if len(small) <= cap:
-            return DistanceResult.known(len(small), "column scan", small)
-        return DistanceResult.unknown(cap + 1, ncols, "no dependence within cap")
+        return DistanceResult.known(len(small), "column scan", small)
     start = 3
-    pairs = _row_sharing_pairs(gen) if cap >= 3 else None
+    pairs = _row_sharing_pairs(gen)
     if pairs is not None:
         witness = _pair_collision(gen, *pairs)
-        if witness is not None and len(witness) <= cap:
-            return DistanceResult.known(len(witness), "subset search", witness)
-        start = 5  # sizes 3 and 4 are absent, or a 4-set lies beyond cap = 3
-    # there is no subset larger than ncols, however large cap is
-    for t in range(start, min(cap, ncols) + 1):
-        try:
-            # internal search nodes include the independent (t-1)-subsets
-            if math.comb(ncols, t - 1) > max_nodes:
-                raise _SearchBudget
-            witness = _find_dependent_subset(gen, t, max_nodes)
-        except _SearchBudget:
-            return DistanceResult.unknown(t, ncols, "search budget exceeded")
         if witness is not None:
             return DistanceResult.known(len(witness), "subset search", witness)
-    return DistanceResult.unknown(cap + 1, ncols, "no dependence within cap")
+        start = 5  # sizes 3 and 4 are absent
+    left = max_nodes
+    for t in range(start, k + 2):
+        try:
+            # internal search nodes include the independent (t-1)-subsets
+            if math.comb(ncols, t - 1) > left:
+                raise _SearchBudget
+            witness, nodes = _find_dependent_subset(gen, t, left)
+        except _SearchBudget:
+            return DistanceResult.unknown(t, k + 1, "search budget exceeded")
+        if witness is not None:
+            return DistanceResult.known(len(witness), "subset search", witness)
+        left -= nodes
+    raise AssertionError(f"{k + 1} columns of a rank-{k} matrix must be dependent")
 
 
 def _small_dependent_set(gen: GfMatrix) -> Optional[list[int]]:
@@ -359,14 +334,16 @@ def _pair_collision(gen: GfMatrix, first: np.ndarray,
     return witness
 
 
-def _find_dependent_subset(gen: GfMatrix, t: int, max_nodes: int) -> Optional[list[int]]:
+def _find_dependent_subset(gen: GfMatrix, t: int,
+                           max_nodes: int) -> tuple[Optional[list[int]], int]:
     """Backtracking over increasing column indices.
 
     Each node carries the residuals of every not-yet-chosen column after
     elimination against the chosen prefix, so extending the prefix is one
     vectorized rank-1 update and a dependent completion shows up as an
     all-zero residual column. Returns the first dependent t-subset, or
-    None; raises _SearchBudget after max_nodes internal nodes."""
+    None, with the internal nodes visited; raises _SearchBudget after
+    max_nodes of them."""
     a = gen.array()
     r = gen.r
     ncols = a.shape[1]
@@ -398,7 +375,7 @@ def _find_dependent_subset(gen: GfMatrix, t: int, max_nodes: int) -> Optional[li
                 return hit
         return None
 
-    return rec(a.copy(), np.arange(ncols), [])
+    return rec(a.copy(), np.arange(ncols), []), nodes
 
 
 class _SearchBudget(Exception):

@@ -262,10 +262,18 @@ def invariants(g: UnitGraph) -> GraphInvariants:
     )
 
 
+# Largest |V| |E| for a dense incidence matrix: 256 MiB of int64 entries
+INCIDENCE_ENTRY_LIMIT = 1 << 25
+
+
 def incidence_matrix(g: UnitGraph, r: int) -> GfMatrix:
     """|V| x |E| unoriented incidence matrix over GF(r); columns follow
-    the canonical edge order."""
+    the canonical edge order. Raises ValueError above
+    ``INCIDENCE_ENTRY_LIMIT`` entries, before allocating."""
     field = PrimeField(r)
+    if g.num_vertices * g.num_edges > INCIDENCE_ENTRY_LIMIT:
+        raise ValueError(f"incidence matrix of {g.num_vertices} x {g.num_edges} entries "
+                         f"exceeds the limit {INCIDENCE_ENTRY_LIMIT}")
     mat = np.zeros((g.num_vertices, g.num_edges), dtype=np.int64)
     mat[g.edges.T, np.arange(g.num_edges)] = 1
     return GfMatrix(field, mat)

@@ -18,11 +18,12 @@ from functools import lru_cache
 from typing import Any, Optional
 
 from . import codes, graphs
-from .codes import DEFAULT_BUDGET, DEFAULT_DUAL_CAP, DEFAULT_DUAL_NODES
+from .codes import DEFAULT_BUDGET, DEFAULT_DUAL_NODES
 from .gfmatrix import PrimeField
 from .rings import THEOREM_TAGS, CaseTag, ParityCase, RingSpec, classify
 
 MATRIX_ENTRY_CAP = 200_000  # largest |V| |E| for which the code layer runs
+MAX_MODULUS = 64  # largest n or m anywhere: the graph layer builds |V| x |V| masks
 
 
 class Status(Enum):
@@ -64,8 +65,8 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         for lo, hi in (self.n_range, self.m_range):
-            if not (2 <= lo and hi <= 64):
-                raise ValueError(f"ranges must stay within [2, 64], got {lo}..{hi}")
+            if not (2 <= lo and hi <= MAX_MODULUS):
+                raise ValueError(f"ranges must stay within [2, {MAX_MODULUS}], got {lo}..{hi}")
         if self.budget < 2**10:
             raise ValueError("enumeration budget must be at least 2^10")
         if self.jobs < 1:
@@ -208,21 +209,24 @@ def _code_checks(g, inv, profile, r: int, config: SweepConfig) -> list[Check]:
 
     code = codes.from_incidence(g, r)
     prediction = codes.predict(profile, r)
+    # over GF(2), or over any field for a bipartite graph, the code is the
+    # graph's cut space: rank |V| - 1 and minimum distance lambda
+    cut_space = r == 2 or inv.bipartite
     # primal distance only matters when some claim consumes it
-    if prediction.primal is not None or r == 2 or inv.bipartite:
+    if prediction.primal is not None or cut_space:
         dist = codes.min_distance_exact(code, config.budget)
     else:
         dist = codes.DistanceResult.unknown(1, code.length, "no distance claim")
     observed = [code.length, code.dimension, _dist(dist)]
     # rank of the incidence matrix of a connected graph (Godsil & Royle,
-    # Algebraic Graph Theory, 8.2): |V| - 1 over GF(2) or when bipartite
-    rank = g.num_vertices - 1 if r == 2 or inv.bipartite else g.num_vertices
+    # Algebraic Graph Theory, 8.2)
+    rank = g.num_vertices - 1 if cut_space else g.num_vertices
     out: list[Check] = []
 
     # theorem-backed primal parameters
     if prediction.source.is_theorem:
         out.append(_compare_params(prediction.primal, code, dist, theorem=True))
-    elif r == 2 or inv.bipartite:
+    elif cut_space:
         # generic incidence-code parameters [|E|, |V|-1, lambda]
         pred = codes.CodeParams(g.num_edges, rank, inv.edge_connectivity)
         check = _compare_params(pred, code, dist, theorem=True)
@@ -240,7 +244,7 @@ def _code_checks(g, inv, profile, r: int, config: SweepConfig) -> list[Check]:
         out.append(Check("ConjectureII", None, observed,
                          Status.SKIPPED, "field parity does not match the conjecture"))
 
-    if r == 2 or (inv.bipartite and r != 2):
+    if cut_space:
         if dist.exact:
             out.append(Check("CodeDistanceEqualsLambda", inv.edge_connectivity, dist.value,
                              Status.PASS if dist.value == inv.edge_connectivity else Status.FAIL))
@@ -368,7 +372,6 @@ def report_json(config: SweepConfig, records: list[CheckRecord]) -> str:
             "m_range": list(config.m_range),
             "fields": sorted(config.fields),
             "budget": config.budget,
-            "dual_cap": DEFAULT_DUAL_CAP,
             "dual_nodes": DEFAULT_DUAL_NODES,
             "matrix_entry_cap": MATRIX_ENTRY_CAP,
         },

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from unitcodes import graphs
 from unitcodes.cli import _UsageError, build_parser, run
 
 
@@ -78,6 +79,13 @@ def test_dual_girth6(capsys):
     assert "minimum distance 6" in capsys.readouterr().out
 
 
+def test_dual_zero_code(capsys):
+    # the unit graph of Z_2 (+) Z_2 is two disjoint edges: no cycle, no dual codeword
+    assert run(["dual", "2", "2", "--field", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out == "dual code: length 2, dimension 0, minimum distance none (zero code)\n"
+
+
 def test_verify_small(capsys):
     assert run(["verify", "--n", "2..4", "--m", "2..4", "--fields", "2,3"]) == 0
     out = capsys.readouterr().out
@@ -123,9 +131,11 @@ def test_usage_errors(capsys):
 @pytest.mark.parametrize("argv", [
     ["code", "3", "5", "--field", "2", "--exact", "--budget", "0"],
     ["code", "3", "5", "--field", "2", "--exact", "--budget", "-5"],
-    ["dual", "3", "5", "--field", "2", "--cap", "0"],
+    ["dual", "3", "65", "--field", "2"],
     ["verify", "--n", "2..3", "--m", "2..3", "--fields", "2", "--jobs", "0"],
     ["conjecture", "--n", "2..3", "--m", "2..3", "--fields", "2", "--jobs", "-1"],
+    ["graph", "65", "2"],
+    ["code", "2", "100", "--field", "2"],
 ])
 def test_out_of_range_inputs(argv, capsys):
     assert run(argv) == 1
@@ -140,6 +150,21 @@ def test_jobs_bounded_by_cpu_count():
     for jobs in (cpus + 1, 10**6):
         with pytest.raises(_UsageError):
             build_parser().parse_args(base + [str(jobs)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "3", "5", "--field", "2"],
+    ["dual", "3", "5", "--field", "2"],
+    ["graph", "3", "5", "--invariants"],
+    ["graph", "3", "5", "--export-incidence", "incidence.txt"],
+])
+def test_incidence_matrix_above_limit(argv, tmp_path, monkeypatch, capsys):
+    # (3,5) has 15 x 56 = 840 incidence entries
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(graphs, "INCIDENCE_ENTRY_LIMIT", 839)
+    assert run(argv) == 1
+    assert "exceeds the limit 839" in capsys.readouterr().err
+    assert not (tmp_path / "incidence.txt").exists()
 
 
 def test_range_outside_limits(capsys):

@@ -8,6 +8,7 @@ the dual distance.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -131,12 +132,36 @@ def test_min_distance_zero_code():
 
 def test_min_distance_row_rescaling_invariant():
     # the code is the row space, so scaling basis rows changes nothing
-    c = _code(3, 4, 5)
+    c = _code(2, 3, 5)  # 5^5 messages
     arr = c.generator.array().copy()
     arr[0] = (arr[0] * 3) % 5
     arr[2] = (arr[2] * 2) % 5
     scaled = from_generator(GfMatrix(5, arr))
     assert min_distance_exact(scaled).value == min_distance_exact(c).value
+
+
+@st.composite
+def _message_generators(draw):
+    """k x n generators over GF(r) with k <= 7 and r^k <= 7^4, so that
+    the one-message-at-a-time oracle stays quick."""
+    r = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(1, {2: 7, 3: 6, 5: 4, 7: 4}[r]))
+    n = draw(st.integers(k, 12))
+    entries = draw(st.lists(st.integers(0, r - 1), min_size=k * n, max_size=k * n))
+    return GfMatrix(r, np.array(entries).reshape(k, n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(gen=_message_generators(), tail=st.integers(1, 2))
+def test_enumeration_odometer_property(gen, tail):
+    # a tail of 1 or 2 rows leaves the prefix odometer up to 6 digits to carry through
+    c = from_generator(gen)
+    with mock.patch.object(codes, "_tail_size", lambda k, r: min(tail, k)):
+        res = min_distance_exact(c)
+    if c.dimension == 0:
+        assert (res.exact, res.method) == (False, "zero code")
+    else:
+        assert (res.exact, res.value) == (True, oracle_min_distance(c))
 
 
 def test_enumeration_agrees_across_fields_trivially():
@@ -201,13 +226,6 @@ def test_dual_distance_four_by_pair_collision(n, m):
     _assert_minimal_witness(c.generator, res)
 
 
-def test_dual_distance_cap_below_collision_size():
-    c = _code(3, 4, 3)  # dual distance 4
-    res = dual_min_distance(c, cap=3)
-    assert not res.exact
-    assert (res.lower, res.upper, res.witness) == (4, c.length, None)
-
-
 def test_dual_distance_collision_memory_gate(monkeypatch):
     # C(E, 2) (r - 1) keys grow with r; past the memory limit backtracking takes over
     c = _code(3, 4, 3)
@@ -215,12 +233,6 @@ def test_dual_distance_collision_memory_gate(monkeypatch):
     res = dual_min_distance(c)
     assert (res.exact, res.value) == (True, 4)
     _assert_minimal_witness(c.generator, res)
-
-
-def test_dual_distance_huge_cap_terminates():
-    c = from_generator(GfMatrix(3, np.eye(4, dtype=int)))
-    res = dual_min_distance(c, cap=10**12)
-    assert not res.exact
 
 
 def _full_pair_collision(gen):
@@ -270,9 +282,9 @@ def _weight_two_generators(draw):
 def test_row_sharing_pass_property(gen):
     c = from_generator(gen)
     truth = oracle_dual_distance(c, cap=gen.cols)
-    res = dual_min_distance(c, cap=gen.cols)
+    res = dual_min_distance(c)
     if truth is None:  # independent columns
-        assert (res.exact, res.lower) == (False, gen.cols + 1)
+        assert (res.exact, res.method, dual_dimension(c)) == (False, "zero code", 0)
     else:
         assert res.exact and res.value == truth
         _assert_minimal_witness(gen, res)
@@ -314,17 +326,17 @@ def test_incidence_dual_witnesses(r):
                 _assert_minimal_witness(c.generator, res)
                 exact += 1
             else:  # a forest such as (2, 2) has no dependent columns at all
-                assert res.method == "no dependence within cap", (n, m, r)
+                assert (res.method, dual_dimension(c)) == ("zero code", 0), (n, m, r)
     assert exact >= 45
 
 
-def _reference_dual_distance(gen, cap):
+def _reference_dual_distance(gen):
     """Sizes 1-2 by the column scan, then the backtracking search level by level."""
     small = codes._small_dependent_set(gen)
     if small is not None:
         return len(small)
-    for t in range(3, cap + 1):
-        if codes._find_dependent_subset(gen, t, max_nodes=10**9) is not None:
+    for t in range(3, gen.cols + 1):
+        if codes._find_dependent_subset(gen, t, max_nodes=10**9)[0] is not None:
             return t
     return None
 
@@ -352,25 +364,24 @@ def _generators(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(gen=_generators(), cap=st.integers(3, 8),
-       max_nodes=st.sampled_from([codes.DEFAULT_DUAL_NODES, 10, 1]))
-def test_dual_distance_property(gen, cap, max_nodes):
+@given(gen=_generators(), max_nodes=st.sampled_from([codes.DEFAULT_DUAL_NODES, 10, 1]))
+def test_dual_distance_property(gen, max_nodes):
     c = from_generator(gen)
-    truth = oracle_dual_distance(c, cap=max(cap, gen.cols))
+    truth = oracle_dual_distance(c, cap=gen.cols)
     if max_nodes == codes.DEFAULT_DUAL_NODES:
-        assert _reference_dual_distance(gen, cap) == (truth if truth is not None and truth <= cap
-                                                      else None)
-    res = dual_min_distance(c, cap=cap, max_nodes=max_nodes)
-    if res.exact:
+        assert _reference_dual_distance(gen) == truth
+    res = dual_min_distance(c, max_nodes=max_nodes)
+    if truth is None:  # independent columns
+        assert (res.exact, res.method, res.lower, res.upper) == (False, "zero code", 1, gen.cols)
+        assert dual_dimension(c) == 0
+    elif res.exact:
         assert res.value == truth
         _assert_minimal_witness(gen, res)
     else:
-        assert res.witness is None
-        assert truth is None or res.lower <= truth
-        if max_nodes == codes.DEFAULT_DUAL_NODES:
-            # every level is within budget, so only the cap stops the search
-            assert truth is None or truth > cap
-            assert res.lower == cap + 1
+        # the default budget covers every size here, so only a small one stops the search
+        assert max_nodes != codes.DEFAULT_DUAL_NODES
+        assert (res.witness, res.method) == (None, "search budget exceeded")
+        assert res.lower <= truth <= res.upper == c.dimension + 1
 
 
 def test_dual_distance_budget_unknown():
@@ -381,12 +392,21 @@ def test_dual_distance_budget_unknown():
     assert res.lower >= 5
 
 
-def test_dual_distance_cap_exhausted():
-    # a full-rank square generator has no dependent subset at all
+def test_dual_distance_budget_spans_sizes():
+    # (2,6,2): level 5 takes 494 nodes and finds nothing; level 6 needs C(12, 5) = 792 more
+    c = _code(2, 6, 2)
+    res = dual_min_distance(c, max_nodes=494 + 792 - 1)
+    assert (res.exact, res.lower, res.upper) == (False, 6, c.dimension + 1)
+    res = dual_min_distance(c, max_nodes=494 + 792)
+    assert (res.exact, res.value) == (True, 6)
+
+
+def test_dual_distance_zero_code():
+    # a full-rank square generator has no dependent subset: its dual is the zero code
     c = from_generator(GfMatrix(3, np.eye(4, dtype=int)))
-    res = dual_min_distance(c, cap=4)
-    assert not res.exact
-    assert res.lower == 5
+    res = dual_min_distance(c)
+    assert (res.exact, res.lower, res.upper, res.method) == (False, 1, 4, "zero code")
+    assert dual_dimension(c) == 0
 
 
 # ---------------------------------------------------------------------------

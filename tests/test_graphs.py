@@ -429,6 +429,20 @@ def test_incidence_matrix_columns():
         assert arr[u, j] == 1 and arr[w, j] == 1
 
 
+def test_incidence_matrix_entry_limit(monkeypatch):
+    g = build(RingSpec(3, 5))  # 15 x 56 = 840 entries
+    allocated = []
+    zeros = np.zeros
+    monkeypatch.setattr(graphs.np, "zeros", lambda *a, **kw: allocated.append(a) or zeros(*a, **kw))
+    monkeypatch.setattr(graphs, "INCIDENCE_ENTRY_LIMIT", 839)
+    with pytest.raises(ValueError, match="15 x 56 entries exceeds the limit 839"):
+        incidence_matrix(g, 2)
+    assert allocated == []
+    monkeypatch.setattr(graphs, "INCIDENCE_ENTRY_LIMIT", 840)
+    assert incidence_matrix(g, 2).shape == (15, 56)
+    assert allocated == [((15, 56),)]
+
+
 def test_edge_list_text_2_2():
     g = build(RingSpec(2, 2))
     assert edge_list_text(g) == "4 2\n0 3\n1 2\n"
