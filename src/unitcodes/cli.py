@@ -109,8 +109,8 @@ def build_parser() -> _Parser:
     p.add_argument("m", type=_modulus)
     p.add_argument("--field", type=_prime, required=True)
     p.add_argument("--exact", action="store_true",
-                   help="compute the exact minimum distance by enumeration")
-    p.add_argument("--budget", type=_positive, default=codes.DEFAULT_BUDGET)
+                   help="compute the exact minimum distance by enumerating at most "
+                        f"{codes.DEFAULT_BUDGET} messages")
 
     p = sub.add_parser("dual", help="dual-code dimension and minimum distance")
     p.add_argument("n", type=_modulus)
@@ -121,7 +121,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=_range, required=True, metavar="A..B")
     p.add_argument("--m", type=_range, required=True, metavar="A..B")
     p.add_argument("--fields", type=_field_list, required=True, metavar="LIST")
-    p.add_argument("--budget", type=_positive, default=codes.DEFAULT_BUDGET)
     p.add_argument("--json", metavar="PATH")
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--jobs", type=_jobs, default=1)
@@ -130,7 +129,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=_range, required=True, metavar="A..B")
     p.add_argument("--m", type=_range, required=True, metavar="A..B")
     p.add_argument("--fields", type=_field_list, required=True, metavar="LIST")
-    p.add_argument("--budget", type=_positive, default=codes.DEFAULT_BUDGET)
     p.add_argument("--jobs", type=_jobs, default=1)
 
     return parser
@@ -181,7 +179,7 @@ def _cmd_code(args) -> int:
     g = graphs.build(RingSpec(args.n, args.m))
     code = codes.from_incidence(g, args.field)
     if args.exact:
-        dist = codes.min_distance_exact(code, args.budget)
+        dist = codes.min_distance_exact(code)
         d = str(dist.value) if dist.exact else f"?({dist.lower}..{dist.upper})"
     else:
         d = "?"
@@ -203,10 +201,7 @@ def _cmd_dual(args) -> int:
 
 
 def _run_sweep(args, conjecture_only: bool) -> int:
-    config = verify.SweepConfig(
-        n_range=args.n, m_range=args.m, fields=args.fields,
-        budget=args.budget, jobs=args.jobs,
-    )
+    config = verify.SweepConfig(n_range=args.n, m_range=args.m, fields=args.fields, jobs=args.jobs)
     records = verify.sweep(config)
     if conjecture_only:
         records = [

@@ -63,8 +63,7 @@ class DistanceResult:
 
 
 def from_incidence(g: graphs.UnitGraph, r: int) -> LinearCode:
-    gen = graphs.incidence_matrix(g, r)
-    return LinearCode(field=gen.field, generator=gen, basis=gen.row_space_basis())
+    return from_generator(graphs.incidence_matrix(g, r))
 
 
 def from_generator(gen: GfMatrix) -> LinearCode:
@@ -109,8 +108,6 @@ def _enumerate(basis: np.ndarray, r: int) -> int:
     popcount weighs one; over any other field a row keeps one byte per
     entry, adds mod r and is weighed by ``count_nonzero``.
     """
-    if r > 127:
-        raise ValueError("enumeration supports field orders up to 127")
     k, n = basis.shape
     if r == 2:
         rows = np.packbits(basis.astype(np.uint8), axis=1)
@@ -118,7 +115,7 @@ def _enumerate(basis: np.ndarray, r: int) -> int:
         weigh = lambda words: np.bitwise_count(words).sum(axis=1)
     else:
         rows = basis.astype(np.uint8)
-        # x + y < 2r <= 254 does not overflow; below r, x + y - r wraps past x + y
+        # r <= MAX_FIELD: x + y < 2r <= 254 does not overflow; below r, x + y - r wraps
         add = lambda x, y: np.minimum(x + y, x + y - r)
         weigh = lambda words: np.count_nonzero(words, axis=1)
     j = _tail_size(k, r)
@@ -405,10 +402,6 @@ class CodeParams:
     length: int
     dimension: int
     min_distance: Optional[int]  # None = no predicted value
-
-    def __str__(self) -> str:
-        d = "?" if self.min_distance is None else self.min_distance
-        return f"[{self.length},{self.dimension},{d}]"
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,18 @@ import numpy as np
 
 from .rings import is_prime
 
+# largest field order: codes enumerate in uint8 rows, and the bound keeps
+# primality testing and per-field tables small
+MAX_FIELD = 127
+
 
 @dataclass(frozen=True)
 class PrimeField:
     r: int
 
     def __post_init__(self) -> None:
+        if self.r > MAX_FIELD:
+            raise ValueError(f"field order must be at most {MAX_FIELD}, got {self.r}")
         if not is_prime(self.r):
             raise ValueError(f"field order must be prime, got {self.r}")
 
@@ -30,10 +36,10 @@ class GfMatrix:
         if isinstance(field, int):
             field = PrimeField(field)
         self.field = field
-        arr = np.array(entries, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
-        self._a = np.mod(arr, field.r)
+        # np.mod returns a fresh array, so the caller's entries are never aliased
+        self._a = np.mod(np.asarray(entries, dtype=np.int64), field.r)
+        if self._a.ndim != 2:
+            raise ValueError(f"expected a 2-D array, got shape {self._a.shape}")
         self._a.setflags(write=False)
 
     @property
@@ -66,9 +72,6 @@ class GfMatrix:
 
     def __repr__(self) -> str:
         return f"GfMatrix(r={self.r}, shape={self.shape})"
-
-    def transpose(self) -> "GfMatrix":
-        return GfMatrix(self.field, self._a.T)
 
     def select_columns(self, cols: Iterable[int]) -> "GfMatrix":
         idx = list(cols)
@@ -134,7 +137,3 @@ def _eliminate(a: np.ndarray, r: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(pc)
         pr += 1
     return a, pivots
-
-
-def identity(r: int, k: int) -> GfMatrix:
-    return GfMatrix(r, np.eye(k, dtype=np.int64))

@@ -53,7 +53,6 @@ class GraphInvariants:
     num_components: int
     diameter: Optional[int]  # None = infinite (disconnected)
     bipartite: bool
-    bipartition: Optional[tuple[frozenset[int], frozenset[int]]]
     girth: Optional[int]  # None = infinite (forest)
     min_degree: int
     edge_connectivity: int
@@ -100,8 +99,8 @@ def min_degree_formula(spec: RingSpec) -> int:
     return phi - 1 if spec.parity_case() == ParityCase.BOTH_ODD else phi
 
 
-def _bipartition(g: UnitGraph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """2-coloring by BFS over every component; None if an odd cycle exists."""
+def _bipartite(g: UnitGraph) -> bool:
+    """2-coloring by BFS over every component; False if an odd cycle exists."""
     ptr, nbrs = g.adjacency.indptr, g.adjacency.indices
     color = [-1] * g.num_vertices
     for start in range(g.num_vertices):
@@ -116,10 +115,8 @@ def _bipartition(g: UnitGraph) -> Optional[tuple[frozenset[int], frozenset[int]]
                     color[w] = 1 - color[u]
                     queue.append(w)
                 elif color[w] == color[u]:
-                    return None
-    side0 = frozenset(v for v, c in enumerate(color) if c == 0)
-    side1 = frozenset(v for v, c in enumerate(color) if c == 1)
-    return side0, side1
+                    return False
+    return True
 
 
 def shortest_cycle(g: UnitGraph, bipartite: Optional[bool] = None) -> Optional[list[int]]:
@@ -136,7 +133,7 @@ def shortest_cycle(g: UnitGraph, bipartite: Optional[bool] = None) -> Optional[l
     so stopping there returns the cycle the full scan returns.
     """
     if bipartite is None:
-        bipartite = _bipartition(g) is not None
+        bipartite = _bipartite(g)
     floor = 4 if bipartite else 3
     best_len: Optional[int] = None
     best_cycle: Optional[list[tuple[int, int]]] = None
@@ -248,14 +245,13 @@ def invariants(g: UnitGraph) -> GraphInvariants:
         diameter: Optional[int] = int(dists.max())
     else:
         diameter = None
-    sides = _bipartition(g)
-    cycle = shortest_cycle(g, sides is not None)
+    bipartite = _bipartite(g)
+    cycle = shortest_cycle(g, bipartite)
     return GraphInvariants(
         connected=connected,
         num_components=int(ncomp),
         diameter=diameter,
-        bipartite=sides is not None,
-        bipartition=sides,
+        bipartite=bipartite,
         girth=None if cycle is None else len(cycle),
         min_degree=int(np.diff(adj.indptr).min()),
         edge_connectivity=edge_connectivity(g),

@@ -8,11 +8,9 @@ from the prime factorizations of ``n`` and ``m``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
 
 Element = tuple[int, int]
 
@@ -39,7 +37,6 @@ class CaseTag(Enum):
     GENERAL_ODD_ODD = "GeneralOddOdd"
     GENERAL_ONE_EVEN = "GeneralOneEven"
     BOTH_EVEN = "BothEven"
-    OTHER = "Other"
 
 
 # the cases the paper proves its closed forms for; the General* cases have
@@ -72,26 +69,9 @@ class RingSpec:
             return ParityCase.EXACTLY_ONE_EVEN
         return ParityCase.BOTH_EVEN
 
-    def elements(self) -> Iterator[Element]:
-        """All elements in canonical order: (a, b) at index a*m + b."""
-        for a in range(self.n):
-            for b in range(self.m):
-                yield (a, b)
-
     def element(self, idx: int) -> Element:
+        """The element at canonical index idx: (a, b) at a*m + b."""
         return divmod(idx, self.m)
-
-    def add(self, x: Element, y: Element) -> Element:
-        return ((x[0] + y[0]) % self.n, (x[1] + y[1]) % self.m)
-
-    def mul(self, x: Element, y: Element) -> Element:
-        return ((x[0] * y[0]) % self.n, (x[1] * y[1]) % self.m)
-
-    def is_unit(self, x: Element) -> bool:
-        return math.gcd(x[0], self.n) == 1 and math.gcd(x[1], self.m) == 1
-
-    def unit_count(self) -> int:
-        return euler_phi(self.n) * euler_phi(self.m)
 
 
 def factorize(k: int) -> list[tuple[int, int]]:
@@ -133,14 +113,6 @@ class StructureProfile:
     n_factorization: tuple[tuple[int, int], ...]
     m_factorization: tuple[tuple[int, int], ...]
     case_tag: CaseTag
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def m(self) -> int:
-        return self.spec.m
 
 
 def _is_two_power_times_odd_prime_power(fact: tuple[tuple[int, int], ...]) -> bool:

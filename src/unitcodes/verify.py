@@ -60,29 +60,20 @@ class SweepConfig:
     n_range: tuple[int, int]
     m_range: tuple[int, int]
     fields: tuple[int, ...]
-    budget: int = DEFAULT_BUDGET
     jobs: int = 1
 
     def __post_init__(self) -> None:
         for lo, hi in (self.n_range, self.m_range):
             if not (2 <= lo and hi <= MAX_MODULUS):
                 raise ValueError(f"ranges must stay within [2, {MAX_MODULUS}], got {lo}..{hi}")
-        if self.budget < 2**10:
-            raise ValueError("enumeration budget must be at least 2^10")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         if not self.fields:
             raise ValueError("fields must name at least one prime")
+        if len(set(self.fields)) != len(self.fields):
+            raise ValueError(f"fields must not repeat, got {self.fields}")
         for r in self.fields:
-            PrimeField(r)  # raises ValueError for a non-prime order
-
-    def instances(self) -> list[tuple[int, int, int]]:
-        out = []
-        for n in range(self.n_range[0], self.n_range[1] + 1):
-            for m in range(self.m_range[0], self.m_range[1] + 1):
-                for r in sorted(self.fields):
-                    out.append((n, m, r))
-        return out
+            PrimeField(r)  # raises ValueError for a non-prime or too large order
 
 
 def _fin(x: Optional[int]) -> Any:
@@ -100,7 +91,7 @@ def _graph_data(n: int, m: int):
     return g, graphs.invariants(g)
 
 
-def check_instance(n: int, m: int, r: int, config: SweepConfig) -> CheckRecord:
+def check_instance(n: int, m: int, r: int) -> CheckRecord:
     spec = RingSpec(n, m)
     profile = classify(spec)
     parity = spec.parity_case()
@@ -180,8 +171,7 @@ def check_instance(n: int, m: int, r: int, config: SweepConfig) -> CheckRecord:
                          Status.SKIPPED, "diameter hypotheses not met"))
 
     # --- code-side checks --------------------------------------------------
-    code_checks = _code_checks(g, inv, profile, r, config)
-    out.extend(code_checks)
+    out.extend(_code_checks(g, inv, profile, r))
 
     return CheckRecord(n=n, m=m, r=r, case_tag=tag, checks=tuple(out))
 
@@ -199,7 +189,7 @@ _CODE_CHECK_NAMES = (
 )
 
 
-def _code_checks(g, inv, profile, r: int, config: SweepConfig) -> list[Check]:
+def _code_checks(g, inv, profile, r: int) -> list[Check]:
     if not inv.connected:
         return [Check(name, None, None, Status.SKIPPED, "disconnected - no theorem applies")
                 for name in _CODE_CHECK_NAMES]
@@ -214,7 +204,7 @@ def _code_checks(g, inv, profile, r: int, config: SweepConfig) -> list[Check]:
     cut_space = r == 2 or inv.bipartite
     # primal distance only matters when some claim consumes it
     if prediction.primal is not None or cut_space:
-        dist = codes.min_distance_exact(code, config.budget)
+        dist = codes.min_distance_exact(code)
     else:
         dist = codes.DistanceResult.unknown(1, code.length, "no distance claim")
     observed = [code.length, code.dimension, _dist(dist)]
@@ -310,15 +300,15 @@ def _compare_params(pred: codes.CodeParams, code: codes.LinearCode,
 # ---------------------------------------------------------------------------
 
 def _run_group(args) -> list[CheckRecord]:
-    n, m, fields, config = args
-    return [check_instance(n, m, r, config) for r in fields]
+    n, m, fields = args
+    return [check_instance(n, m, r) for r in fields]
 
 
 def sweep(config: SweepConfig) -> list[CheckRecord]:
     """All records in lexicographic (n, m, r) order; parallelism over
     (n, m) groups is observationally invisible."""
     fields = tuple(sorted(config.fields))
-    groups = [(n, m, fields, config)
+    groups = [(n, m, fields)
               for n in range((config.n_range[0]), config.n_range[1] + 1)
               for m in range(config.m_range[0], config.m_range[1] + 1)]
     # the pool may fork every worker up front, wanted or not
@@ -371,7 +361,7 @@ def report_json(config: SweepConfig, records: list[CheckRecord]) -> str:
             "n_range": list(config.n_range),
             "m_range": list(config.m_range),
             "fields": sorted(config.fields),
-            "budget": config.budget,
+            "budget": DEFAULT_BUDGET,
             "dual_nodes": DEFAULT_DUAL_NODES,
             "matrix_entry_cap": MATRIX_ENTRY_CAP,
         },

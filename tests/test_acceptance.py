@@ -34,8 +34,8 @@ def _brute_edge_count(spec):
     count = 0
     for u in range(spec.size):
         for w in range(u + 1, spec.size):
-            a, b = spec.add(spec.element(u), spec.element(w))
-            if math.gcd(a, spec.n) == 1 and math.gcd(b, spec.m) == 1:
+            (a1, b1), (a2, b2) = spec.element(u), spec.element(w)
+            if math.gcd(a1 + a2, spec.n) == 1 and math.gcd(b1 + b2, spec.m) == 1:
                 count += 1
     return count
 

@@ -62,9 +62,10 @@ def test_code_without_exact(capsys):
 
 
 def test_code_budget_bracket(capsys):
-    assert run(["code", "3", "5", "--field", "2", "--exact", "--budget", "1024"]) == 0
+    # 2^29 messages are past the enumeration budget of 2^26
+    assert run(["code", "5", "6", "--field", "2", "--exact"]) == 0
     out = capsys.readouterr().out.strip()
-    assert out == "[56,14,?(1..56)]_2"
+    assert out == "[120,29,?(1..120)]_2"
 
 
 def test_dual(capsys):
@@ -129,13 +130,17 @@ def test_usage_errors(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["code", "3", "5", "--field", "2", "--exact", "--budget", "0"],
-    ["code", "3", "5", "--field", "2", "--exact", "--budget", "-5"],
+    ["dual", "3", "5", "--field", "131"],
+    ["conjecture", "--n", "2..3", "--m", "2..3", "--fields", "2,131"],
     ["dual", "3", "65", "--field", "2"],
     ["verify", "--n", "2..3", "--m", "2..3", "--fields", "2", "--jobs", "0"],
     ["conjecture", "--n", "2..3", "--m", "2..3", "--fields", "2", "--jobs", "-1"],
     ["graph", "65", "2"],
     ["code", "2", "100", "--field", "2"],
+    ["code", "3", "5", "--field", "2", "--exact", "--budget", "67108864"],
+    ["verify", "--n", "3..3", "--m", "5..5", "--fields", "2", "--budget", "67108864"],
+    ["conjecture", "--n", "3..3", "--m", "5..5", "--fields", "2", "--budget", "67108864"],
+    ["verify", "--n", "3..3", "--m", "5..5", "--fields", "2,2"],
 ])
 def test_out_of_range_inputs(argv, capsys):
     assert run(argv) == 1

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitcodes import graphs
-from unitcodes.gfmatrix import GfMatrix, PrimeField, identity
+from unitcodes import gfmatrix, graphs
+from unitcodes.gfmatrix import MAX_FIELD, GfMatrix, PrimeField
 from unitcodes.rings import RingSpec
 
 
@@ -13,12 +15,46 @@ def test_prime_field_rejects_composites():
             PrimeField(r)
     PrimeField(2)
     PrimeField(97)
+    PrimeField(MAX_FIELD)
+
+
+def test_prime_field_bounded_before_primality(monkeypatch):
+    # trial division to the square root of 2^61 - 1 would take minutes
+    def refuse(k):
+        raise AssertionError(f"is_prime({k}) called on an order past the bound")
+
+    monkeypatch.setattr(gfmatrix, "is_prime", refuse)
+    for r in (131, 2**61 - 1):  # the next prime past the bound, and a Mersenne prime
+        with pytest.raises(ValueError, match="at most 127"):
+            PrimeField(r)
+
+
+def test_init_keeps_one_copy():
+    # (15,15): 225 x 7168 int64 entries, 12.3 MiB; incidence_matrix's zeros
+    # and the reduced copy are the two, small Python objects aside
+    g = graphs.build(RingSpec(15, 15))
+    tracemalloc.start()
+    try:
+        mat = graphs.incidence_matrix(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.array().nbytes == 225 * 7168 * 8
+    assert peak <= 2 * mat.array().nbytes + (1 << 16)
+
+
+def test_init_does_not_alias_entries():
+    src = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    mat = GfMatrix(5, src)
+    src[0, 0] = 0
+    assert mat == GfMatrix(5, [[1, 2], [3, 4]])
+    assert not mat.array().flags.writeable
 
 
 def test_rank_examples():
     g = graphs.build(RingSpec(2, 2))
     assert graphs.incidence_matrix(g, 2).rank() == 2
-    assert identity(5, 4).rank() == 4
+    assert GfMatrix(5, np.eye(4, dtype=np.int64)).rank() == 4
     assert GfMatrix(3, np.zeros((3, 5), dtype=int)).rank() == 0
 
 
@@ -27,12 +63,12 @@ def test_rref_examples():
     assert rr == GfMatrix(5, [[1, 2], [0, 0]])
     assert pivots == [0]
 
-    eye = identity(7, 3)
+    eye = GfMatrix(7, np.eye(3, dtype=np.int64))
     rr, pivots = eye.rref()
     assert rr == eye and pivots == [0, 1, 2]
 
     rr, pivots = GfMatrix(3, [[0, 1], [1, 0]]).rref()
-    assert rr == identity(3, 2) and pivots == [0, 1]
+    assert rr == GfMatrix(3, np.eye(2, dtype=np.int64)) and pivots == [0, 1]
 
 
 def test_rref_idempotent_and_rank_preserving():
@@ -74,7 +110,7 @@ def test_triangle_columns_dependent_over_gf2():
 def test_rank_of_transpose(r, rows, cols, seed):
     rng = np.random.default_rng(seed)
     mat = GfMatrix(r, rng.integers(0, r, size=(rows, cols)))
-    assert mat.rank() == mat.transpose().rank()
+    assert mat.rank() == GfMatrix(r, mat.array().T).rank()
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from unitcodes import graphs
+from unitcodes import graphs, verify
 from unitcodes.graphs import (
     UnitGraph,
     build,
@@ -45,8 +45,8 @@ def oracle_edges(spec):
     out = []
     for u in range(spec.size):
         for w in range(u + 1, spec.size):
-            a, b = spec.add(spec.element(u), spec.element(w))
-            if math.gcd(a, spec.n) == 1 and math.gcd(b, spec.m) == 1:
+            (a1, b1), (a2, b2) = spec.element(u), spec.element(w)
+            if math.gcd(a1 + a2, spec.n) == 1 and math.gcd(b1 + b2, spec.m) == 1:
                 out.append((u, w))
     return out
 
@@ -287,19 +287,17 @@ def test_invariants_both_even_disconnected():
 def test_invariants_one_even_bipartite():
     for n, m in [(2, 3), (4, 5), (3, 8), (9, 2), (6, 5)]:
         g = build(RingSpec(n, m))
-        inv = invariants(g)
-        assert inv.bipartite
-        part0, part1 = inv.bipartition
-        for u, w in g.edges.tolist():
-            assert (u in part0) != (w in part0)
+        assert invariants(g).bipartite
+        assert verify._parity_classes_separate(g)
 
 
 def test_bipartition_is_parity_classes():
-    # one-even case: sides are the even/odd classes of the even coordinate
+    # one-even case: the even/odd classes of the even coordinate are the
+    # sides, the only 2-coloring of a connected graph
     g = build(RingSpec(4, 5))
     inv = invariants(g)
-    evens = frozenset(v for v in range(g.num_vertices) if g.vertex_label(v)[0] % 2 == 0)
-    assert evens in inv.bipartition
+    assert inv.connected and inv.bipartite
+    assert verify._parity_classes_separate(g)
 
 
 UNIT_16 = [(n, m) for n in range(2, 17) for m in range(2, 17) if n % 2 == 1 or m % 2 == 1]

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from unitcodes.graphs import build
 from unitcodes.rings import (
     CaseTag,
     ParityCase,
@@ -15,42 +16,47 @@ from unitcodes.rings import (
 def zero_product_nonunits(spec):
     """The O(|R|^2) non-unit scan: x is a non-unit iff some nonzero y
     multiplies it to (0, 0) componentwise."""
-    elems = [e for e in spec.elements() if e != (0, 0)]
+    elems = [(a, b) for a in range(spec.n) for b in range(spec.m) if (a, b) != (0, 0)]
     nonunits = {(0, 0)}
     for x in elems:
         for y in elems:
-            if spec.mul(x, y) == (0, 0):
+            if (x[0] * y[0] % spec.n, x[1] * y[1] % spec.m) == (0, 0):
                 nonunits.add(x)
                 break
     return nonunits
 
 
+def units_by_adjacency(spec):
+    """x ~ (0, 0) in the unit graph iff x + (0, 0) = x is a unit."""
+    adj = build(spec).adjacency
+    return {spec.element(int(v)) for v in adj.indices[adj.indptr[0]:adj.indptr[1]]}
+
+
 def test_add_wraps():
-    assert RingSpec(4, 5).add((3, 4), (1, 1)) == (0, 0)
-    assert RingSpec(5, 5).add((0, 0), (2, 3)) == (2, 3)
-    assert RingSpec(6, 4).add((5, 3), (2, 2)) == (1, 1)
+    # build adds coordinates mod n and mod m: (3,4) + (1,1) wraps to (0,0),
+    # a non-unit, and (3,4) + (2,2) wraps to (1,1), a unit
+    adj = build(RingSpec(4, 5)).adjacency  # (a, b) is vertex 5a + b
+    assert adj[5 * 3 + 4, 5 * 1 + 1] == 0
+    assert adj[5 * 3 + 4, 5 * 2 + 2] == 1
 
 
 def test_is_unit_by_gcd():
-    assert RingSpec(5, 5).is_unit((1, 1))
-    assert not RingSpec(4, 5).is_unit((2, 3))
-    assert not RingSpec(5, 5).is_unit((0, 1))
+    assert (1, 1) in units_by_adjacency(RingSpec(5, 5))
+    assert (2, 3) not in units_by_adjacency(RingSpec(4, 5))
+    assert (0, 1) not in units_by_adjacency(RingSpec(5, 5))
 
 
 @pytest.mark.parametrize("n,m,expected", [(5, 5, 16), (4, 5, 8), (2, 2, 1)])
 def test_unit_count(n, m, expected):
-    spec = RingSpec(n, m)
-    assert spec.unit_count() == expected
-    assert sum(1 for e in spec.elements() if spec.is_unit(e)) == expected
+    assert len(units_by_adjacency(RingSpec(n, m))) == expected == euler_phi(n) * euler_phi(m)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 @pytest.mark.parametrize("m", range(2, 13))
 def test_unit_matches_zero_product_scan(n, m):
     spec = RingSpec(n, m)
-    nonunits = zero_product_nonunits(spec)
-    for e in spec.elements():
-        assert spec.is_unit(e) == (e not in nonunits)
+    elems = {(a, b) for a in range(n) for b in range(m)}
+    assert units_by_adjacency(spec) == elems - zero_product_nonunits(spec)
 
 
 def test_euler_phi_values():

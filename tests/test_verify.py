@@ -35,7 +35,7 @@ def _by_name(record):
 
 
 def test_check_instance_5_5_gf2():
-    rec = check_instance(5, 5, 2, CONFIG)
+    rec = check_instance(5, 5, 2)
     assert rec.case_tag == CaseTag.PP_ODD_ODD
     checks = _by_name(rec)
     assert checks["EdgeCountFormula"].status == Status.PASS
@@ -51,7 +51,7 @@ def test_check_instance_5_5_gf2():
 
 
 def test_check_instance_3_5_gf2_values():
-    checks = _by_name(check_instance(3, 5, 2, CONFIG))
+    checks = _by_name(check_instance(3, 5, 2))
     assert checks["CodeParamsVsPredicted"].observed == [56, 14, 7]
     assert checks["DualDimension"].status == Status.PASS
     assert checks["DualDistanceVsPredicted"].predicted == 3
@@ -66,13 +66,13 @@ def test_dual_dimension_fails_on_a_planted_wrong_rank(monkeypatch):
         return replace(code, basis=GfMatrix(code.field, code.basis.array()[:-1]))
 
     monkeypatch.setattr(codes, "from_incidence", short)
-    check = _by_name(check_instance(3, 5, 2, CONFIG))["DualDimension"]
+    check = _by_name(check_instance(3, 5, 2))["DualDimension"]
     assert (check.predicted, check.observed, check.status) == (42, 43, Status.FAIL)
 
 
 def test_distance_bracket_is_skipped_not_passed():
     # (7,9) over GF(2) has r^k = 2^62 messages: the distance is only [1, E]
-    checks = _by_name(check_instance(7, 9, 2, CONFIG))
+    checks = _by_name(check_instance(7, 9, 2))
     for name in ("CodeParamsVsPredicted", "ConjectureII"):
         check = checks[name]
         assert check.observed == [1116, 62, "Unknown(1,1116)"]
@@ -81,7 +81,7 @@ def test_distance_bracket_is_skipped_not_passed():
 
 
 def test_check_instance_both_even_skips_codes():
-    rec = check_instance(4, 4, 2, CONFIG)
+    rec = check_instance(4, 4, 2)
     checks = _by_name(rec)
     assert checks["DisconnectedIfBothEven"].status == Status.PASS
     assert checks["ConjectureI"].status == Status.SKIPPED
@@ -92,7 +92,7 @@ def test_check_instance_both_even_skips_codes():
 def test_check_instance_conjectures():
     # (6,5): general one-even, so Conjecture I applies and II over odd r;
     # 3^29 messages are past the budget, so II's distance is only bracketed
-    checks = _by_name(check_instance(6, 5, 3, CONFIG))
+    checks = _by_name(check_instance(6, 5, 3))
     assert checks["ConjectureI"].status == Status.CONJECTURE_PASS
     ii = checks["ConjectureII"]
     assert ii.predicted == [120, 29, 8]
@@ -103,13 +103,13 @@ def test_check_instance_conjectures():
 
 def test_dual_girth_check_uses_subset_search():
     # the girth is a cycle length: the dual side must come from linear algebra
-    checks = _by_name(check_instance(7, 4, 2, CONFIG))
+    checks = _by_name(check_instance(7, 4, 2))
     check = checks["DualDistanceEqualsGirth(GF(2))"]
     assert (check.status, check.observed, check.reason) == (Status.PASS, 4, "method: subset search")
 
 
 def test_check_instance_odd_odd_odd_field_no_claims():
-    checks = _by_name(check_instance(3, 5, 3, CONFIG))
+    checks = _by_name(check_instance(3, 5, 3))
     assert checks["ConjectureII"].status == Status.SKIPPED
     assert checks["DualDistanceVsPredicted"].status == Status.SKIPPED
 
@@ -126,7 +126,7 @@ def test_parity_classes_separate_finds_a_same_parity_edge(n, m, planted):
 
 def test_statuses_are_valid():
     for n, m, r in [(2, 2, 2), (3, 4, 3), (5, 5, 2), (6, 6, 3)]:
-        rec = check_instance(n, m, r, CONFIG)
+        rec = check_instance(n, m, r)
         for c in rec.checks:
             assert isinstance(c, Check)
             assert c.status in Status
@@ -143,7 +143,8 @@ def small_sweep():
 
 def test_sweep_covers_all_instances(small_sweep):
     assert len(small_sweep) == 5 * 5 * 2
-    assert [(r.n, r.m, r.r) for r in small_sweep] == CONFIG.instances()
+    assert [(r.n, r.m, r.r) for r in small_sweep] == [
+        (n, m, r) for n in range(2, 7) for m in range(2, 7) for r in (2, 3)]
 
 
 def test_sweep_zero_theorem_failures(small_sweep):
@@ -191,7 +192,7 @@ def test_report_matches_golden(small_sweep):
     # row-sharing pair pass settles and primal distances past the enumeration
     # budget, and (11,12) is past the incidence-matrix cap; the goldens pin
     # every byte of both reports
-    records = small_sweep + [check_instance(n, m, r, CONFIG)
+    records = small_sweep + [check_instance(n, m, r)
                              for n, m in [(7, 8), (7, 9), (7, 11), (11, 12)] for r in (2, 3)]
     assert report_json(CONFIG, records).encode() == (GOLDEN / "verify_report.json").read_bytes()
     assert summary_csv(records).encode() == (GOLDEN / "verify_summary.csv").read_bytes()
@@ -210,13 +211,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(n_range=(2, 65), m_range=(2, 5), fields=(2,))
     with pytest.raises(ValueError):
-        SweepConfig(n_range=(2, 4), m_range=(2, 4), fields=(2,), budget=16)
+        SweepConfig(n_range=(2, 4), m_range=(2, 4), fields=(3, 2, 3))
     with pytest.raises(ValueError):
         SweepConfig(n_range=(2, 4), m_range=(2, 4), fields=(2,), jobs=0)
     with pytest.raises(ValueError):
         SweepConfig(n_range=(2, 4), m_range=(2, 4), fields=())
     with pytest.raises(ValueError):
         SweepConfig(n_range=(2, 4), m_range=(2, 4), fields=(2, 9))
+    with pytest.raises(ValueError):
+        SweepConfig(n_range=(2, 4), m_range=(2, 4), fields=(2, 131))
 
 
 def test_sweep_workers_bounded(monkeypatch):
