@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from . import graphs
 from .gfmatrix import GfMatrix, PrimeField
@@ -161,7 +162,7 @@ def dual_min_distance(c: LinearCode, max_nodes: int = DEFAULT_DUAL_NODES) -> Dis
     by a direct scan. When every column has at most two nonzero entries,
     as in an incidence matrix, sizes 3 and 4 are settled together by one
     pass over the column pairs that share a row (see ``_pair_collision``),
-    if its key table fits ``_COLLISION_WORDS``. Every other size goes to
+    if its key table fits ``_COLLISION_KEYS``. Every other size goes to
     backtracking over column subsets with incremental elimination, up to
     size k + 1, where any columns are dependent; past ``max_nodes`` nodes
     over all sizes, a search at size t gives ``Unknown(t, k + 1)``.
@@ -170,13 +171,14 @@ def dual_min_distance(c: LinearCode, max_nodes: int = DEFAULT_DUAL_NODES) -> Dis
     ncols, k = gen.cols, c.dimension
     if k == ncols:
         return DistanceResult.unknown(1, ncols, "zero code")
-    small = _small_dependent_set(gen)
+    entries = _sparse_columns(gen)
+    small = _small_dependent_set(entries, gen.r)
     if small is not None:
         return DistanceResult.known(len(small), "column scan", small)
     start = 3
-    pairs = _row_sharing_pairs(gen)
+    pairs = _row_sharing_pairs(entries, gen.r)
     if pairs is not None:
-        witness = _pair_collision(gen, *pairs)
+        witness = _pair_collision(gen, entries, *pairs)
         if witness is not None:
             return DistanceResult.known(len(witness), "subset search", witness)
         start = 5  # sizes 3 and 4 are absent
@@ -195,79 +197,78 @@ def dual_min_distance(c: LinearCode, max_nodes: int = DEFAULT_DUAL_NODES) -> Dis
     raise AssertionError(f"{k + 1} columns of a rank-{k} matrix must be dependent")
 
 
-def _small_dependent_set(gen: GfMatrix) -> Optional[list[int]]:
-    """Dependent set of size 1 or 2 by direct scan: a zero column, or a
-    pair of proportional columns (after scaling each column so its first
-    nonzero entry is 1, proportional means identical)."""
-    a = gen.array()
-    zero = np.nonzero(~a.any(axis=0))[0]
+def _sparse_columns(gen: GfMatrix) -> np.ndarray:
+    """Column j of ``gen`` as its nonzero entries (row, value), each held
+    as the integer row * r + value, padded with 0 to the largest column
+    weight (at least 1); its dtype also holds a product of two field elements."""
+    a, r = gen.array(), gen.r
+    cols, at = np.nonzero(a.T)  # sorted by column, then by row
+    weight = np.bincount(cols, minlength=gen.cols)
+    slot = np.arange(cols.size) - (np.cumsum(weight) - weight)[cols]
+    entries = np.zeros((gen.cols, max(1, int(weight.max(initial=0)))),
+                       dtype=np.min_scalar_type(r * max(gen.rows, r)))
+    entries[cols, slot] = at * r + a[at, cols]
+    return entries
+
+
+def _entries(entries: np.ndarray, r: int) -> np.ndarray:
+    """Keys of the vectors over GF(r) whose (row, value) entries, held as
+    in ``_sparse_columns``, fill the rows of ``entries`` in any order:
+    entries on one row are summed, zero sums dropped, the rest listed by
+    decreasing row, scaled so the first value is 1 and padded with 0.
+    Equal keys mean proportional vectors; a zero vector's key is all 0."""
+    keys = entries.copy()
+    keys[:, ::-1].sort(axis=1)  # by decreasing row, so the padding 0 goes last
+    for s in range(1, keys.shape[1]):  # fold each entry into the next one on its row
+        same = (keys[:, s] != 0) & (keys[:, s] // r == keys[:, s - 1] // r)
+        total = (keys[same, s] % r + keys[same, s - 1] % r) % r
+        keys[same, s] = np.where(total != 0, keys[same, s] - keys[same, s] % r + total, 0)
+        keys[same, s - 1] = 0
+    keys[:, ::-1].sort(axis=1)  # a sum that cancelled left a 0 among the entries
+    vals = keys % r
+    inverses = np.array([0] + [pow(x, -1, r) for x in range(1, r)], dtype=keys.dtype)
+    return keys - vals + (vals * inverses[vals[:, :1]]) % r
+
+
+def _small_dependent_set(entries: np.ndarray, r: int) -> Optional[list[int]]:
+    """Dependent set of size 1 or 2 by direct scan of the columns'
+    entries: a zero column, or a pair of proportional columns, which
+    ``_entries`` gives equal keys."""
+    keys = _entries(entries, r)
+    zero = np.nonzero(~keys.any(axis=1))[0]
     if zero.size:
         return [int(zero[0])]
-    _, inverse = np.unique(_normalize(a, gen.r).T, axis=0, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    dup = np.nonzero(inverse[order[1:]] == inverse[order[:-1]])[0]
+    order = np.lexsort(keys.T[::-1])
+    dup = np.nonzero((keys[order[1:]] == keys[order[:-1]]).all(axis=1))[0]
     if dup.size:
-        i = int(dup[0])
-        return sorted((int(order[i]), int(order[i + 1])))
+        return sorted(int(c) for c in order[dup[0]:dup[0] + 2])
     return None
 
 
-def _normalize(cols: np.ndarray, r: int) -> np.ndarray:
-    """Scale each nonzero column so its first nonzero entry is 1; entries
-    stay below r, and cols' dtype must hold (r - 1)^2."""
-    inverses = np.array([0] + [pow(x, -1, r) for x in range(1, r)], dtype=cols.dtype)
-    lead = cols[np.argmax(cols != 0, axis=0), np.arange(cols.shape[1])]
-    return (cols * inverses[lead][None, :]) % r
+# Upper limit on the collision pass's keys, one per column and r - 1 per
+# column pair: keys of at most 16 bytes make a key table within 32 MiB.
+_COLLISION_KEYS = 1 << 21
 
 
-# Upper limit on the uint64 words of the collision pass's key table
-# (32 MiB): one key per column and r - 1 per column pair.
-_COLLISION_WORDS = 1 << 22
-_COLLISION_BLOCK = 1 << 15  # column pairs per vectorized block
-
-
-def _row_sharing_pairs(gen: GfMatrix) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _row_sharing_pairs(entries: np.ndarray, r: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The column pairs i < j that share a nonzero row, each listed once,
     for ``_pair_collision``; None when some column has more than two
     nonzero entries, where these pairs do not settle sizes 3 and 4, or
-    when the key table would exceed ``_COLLISION_WORDS``."""
-    nz = gen.array() != 0
-    if (nz.sum(axis=0) > 2).any():
+    when the key table would exceed ``_COLLISION_KEYS``."""
+    if entries.shape[1] > 2:
         return None
-    deg = nz.sum(axis=1)
+    cols, slot = np.nonzero(entries)
+    on = entries[cols, slot] // r
+    deg = np.bincount(on)
     listed = int((deg * (deg - 1) // 2).sum())  # a pair sharing two rows counts twice
-    if (gen.cols + listed * (gen.r - 1)) * _key_words(gen.rows, gen.r) > _COLLISION_WORDS:
+    if entries.shape[0] + listed * (r - 1) > _COLLISION_KEYS:
         return None
-    ncols = gen.cols
-    keys = [np.empty(0, dtype=np.int64)]
-    for row in nz:
-        cols = np.nonzero(row)[0].astype(np.int64)
-        i, j = np.triu_indices(cols.size, 1)
-        keys.append(cols[i] * ncols + cols[j])
-    # a pair listed twice would collide with itself
-    pairs = np.unique(np.concatenate(keys))
-    return pairs // ncols, pairs % ncols
+    # the pairs off the diagonal of H^T H, in order and each once
+    incidence = sparse.csr_array((np.ones(on.size, dtype=np.int32), (on, cols)))
+    return sparse.triu(incidence.T @ incidence, 1, format="csr").nonzero()
 
 
-def _key_words(rows: int, r: int) -> int:
-    per_word = 64 // (r - 1).bit_length()
-    return -(-rows // per_word)
-
-
-def _pack(cols: np.ndarray, r: int) -> np.ndarray:
-    """Pack columns with entries in [0, r) exactly into uint64 words,
-    one key row per column; equal keys mean equal columns."""
-    bits = (r - 1).bit_length()
-    per_word = 64 // bits
-    rows, n = cols.shape
-    keys = np.zeros((n, _key_words(rows, r)), dtype=np.uint64)
-    for e in range(rows):
-        w, pos = divmod(e, per_word)
-        keys[:, w] |= cols[e].astype(np.uint64) << np.uint64(bits * pos)
-    return keys
-
-
-def _pair_collision(gen: GfMatrix, first: np.ndarray,
+def _pair_collision(gen: GfMatrix, entries: np.ndarray, first: np.ndarray,
                     second: np.ndarray) -> Optional[list[int]]:
     """A dependent set of 3 or 4 columns, or None when neither size
     occurs; requires that no set of 1 or 2 columns is dependent.
@@ -294,24 +295,20 @@ def _pair_collision(gen: GfMatrix, first: np.ndarray,
     columns. Stern's low-weight search ("A method for finding codewords
     of small weight", 1989) matches partial sums the same way.
     """
-    a = gen.array()
     r = gen.r
-    ncols = a.shape[1]
-    dtype = np.min_scalar_type(r * r)
-    small = a.astype(dtype)
-    npairs = first.size
-    keys = np.empty((ncols + npairs * (r - 1), _key_words(a.shape[0], r)), dtype=np.uint64)
-    keys[:ncols] = _pack(_normalize(small, r), r)
+    ncols, npairs = entries.shape[0], first.size
+    # one row per entry position, which lexsort reads without a copy; a sum
+    # of two columns has up to twice their entries, and singles are padded to match
+    keys = np.empty((2 * entries.shape[1], ncols + npairs * (r - 1)), dtype=entries.dtype)
+    keys[:, :ncols] = _entries(np.hstack([entries, 0 * entries]), r).T
+    vals = entries[second] % r
     for beta in range(1, r):
-        scaled = (small * beta) % r
-        row = ncols + (beta - 1) * npairs
-        for lo in range(0, npairs, _COLLISION_BLOCK):
-            hi = min(lo + _COLLISION_BLOCK, npairs)
-            sums = (small[:, first[lo:hi]] + scaled[:, second[lo:hi]]) % r
-            keys[row + lo:row + hi] = _pack(_normalize(sums, r), r)
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    equal = np.nonzero((ranked[1:] == ranked[:-1]).all(axis=1))[0]
+        at = ncols + (beta - 1) * npairs
+        sums = np.hstack([entries[first], entries[second] - vals + (vals * beta) % r])
+        keys[:, at:at + npairs] = _entries(sums, r).T
+    order = np.lexsort(keys[::-1])
+    ranked = keys[:, order]
+    equal = np.nonzero((ranked[:, 1:] == ranked[:, :-1]).all(axis=0))[0]
     if equal.size == 0:
         return None
 

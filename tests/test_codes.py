@@ -8,6 +8,7 @@ the dual distance.
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -216,7 +217,7 @@ def test_dual_distance_witness_is_dependent():
     _assert_minimal_witness(c.generator, dual_min_distance(c))
 
 
-@pytest.mark.parametrize("n,m", [(4, 7), (5, 5), (5, 6)])
+@pytest.mark.parametrize("n,m", [(4, 7), (5, 5), (5, 6), (13, 15), (15, 15)])
 def test_dual_distance_four_by_pair_collision(n, m):
     # C(E, 3) exceeds the node budget here, so backtracking alone ends Unknown(4, E)
     c = _code(n, m, 3)
@@ -227,23 +228,78 @@ def test_dual_distance_four_by_pair_collision(n, m):
 
 
 def test_dual_distance_collision_memory_gate(monkeypatch):
-    # C(E, 2) (r - 1) keys grow with r; past the memory limit backtracking takes over
+    # (r - 1) keys per row-sharing pair grow with r; past the key limit backtracking takes over
     c = _code(3, 4, 3)
-    monkeypatch.setattr(codes, "_COLLISION_WORDS", 0)
+    monkeypatch.setattr(codes, "_COLLISION_KEYS", 0)
     res = dual_min_distance(c)
     assert (res.exact, res.value) == (True, 4)
     _assert_minimal_witness(c.generator, res)
 
 
+def test_dual_distance_memory():
+    # 449,568 row-sharing pairs on (15,15,2): keys of at most four (row, value) entries
+    # keep the pass under 56 MiB, where keys of whole 225-entry sums take over 60
+    c = _code(15, 15, 2)
+    tracemalloc.start()
+    try:
+        res = dual_min_distance(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.exact, res.value) == (True, 3)
+    assert peak < 56 * 2**20
+
+
+def _normalize(cols, r):
+    """Scale each nonzero column so its first nonzero entry is 1; entries
+    stay below r, and cols' dtype must hold (r - 1)^2."""
+    inverses = np.array([0] + [pow(x, -1, r) for x in range(1, r)], dtype=cols.dtype)
+    lead = cols[np.argmax(cols != 0, axis=0), np.arange(cols.shape[1])]
+    return (cols * inverses[lead][None, :]) % r
+
+
+def _key_words(rows, r):
+    per_word = 64 // (r - 1).bit_length()
+    return -(-rows // per_word)
+
+
+def _pack(cols, r):
+    """Pack columns with entries in [0, r) exactly into uint64 words,
+    one key row per column; equal keys mean equal columns."""
+    bits = (r - 1).bit_length()
+    per_word = 64 // bits
+    rows, n = cols.shape
+    keys = np.zeros((n, _key_words(rows, r)), dtype=np.uint64)
+    for e in range(rows):
+        w, pos = divmod(e, per_word)
+        keys[:, w] |= cols[e].astype(np.uint64) << np.uint64(bits * pos)
+    return keys
+
+
+def _dense_keys(gen):
+    """Dense keys for every column and every a_i + beta a_j, i < j, beta in
+    GF(r)*: the whole vector scaled to first nonzero entry 1 and packed."""
+    a, r = gen.array(), gen.r
+    first, second = np.triu_indices(gen.cols, 1)
+    sums = [(a[:, first] + beta * a[:, second]) % r for beta in range(1, r)]
+    return _pack(_normalize(np.hstack([a] + sums), r), r)
+
+
 def _full_pair_collision(gen):
-    """The collision pass over all C(E, 2) column pairs, exact for any matrix."""
-    return codes._pair_collision(gen, *np.triu_indices(gen.cols, 1))
+    """Size 3 or 4 of the smallest dependent set, or None when neither
+    occurs, from dense keys over all C(E, 2) column pairs; requires that no
+    set of 1 or 2 columns is dependent (see ``codes._pair_collision``)."""
+    keys = [k.tobytes() for k in _dense_keys(gen)]
+    singles, sums = set(keys[:gen.cols]), keys[gen.cols:]
+    if singles.intersection(sums):
+        return 3
+    return 4 if len(set(sums)) < len(sums) else None
 
 
 def test_row_sharing_pairs_list_a_double_pair_once():
     # over GF(3), columns 0 and 1 share both rows without being proportional
     gen = GfMatrix(3, [[1, 1, 0, 0], [1, 2, 1, 0], [0, 0, 1, 1]])
-    first, second = codes._row_sharing_pairs(gen)
+    first, second = codes._row_sharing_pairs(codes._sparse_columns(gen), 3)
     assert list(zip(first.tolist(), second.tolist())) == [(0, 1), (0, 2), (1, 2), (2, 3)]
     res = dual_min_distance(from_generator(gen))
     assert res.value == oracle_dual_distance(from_generator(gen)) == 4
@@ -288,11 +344,12 @@ def test_row_sharing_pass_property(gen):
     else:
         assert res.exact and res.value == truth
         _assert_minimal_witness(gen, res)
-    if codes._small_dependent_set(gen) is None:
-        restricted = codes._pair_collision(gen, *codes._row_sharing_pairs(gen))
+    entries = codes._sparse_columns(gen)
+    if codes._small_dependent_set(entries, gen.r) is None:
+        restricted = codes._pair_collision(gen, entries, *codes._row_sharing_pairs(entries, gen.r))
         full = _full_pair_collision(gen)
         if truth in (3, 4):
-            assert len(restricted) == len(full) == truth
+            assert len(restricted) == full == truth
             assert gen.columns_dependent(restricted)
         else:
             assert restricted is None and full is None
@@ -304,8 +361,8 @@ def test_weight_three_column_skips_the_pass(monkeypatch):
     arr[:, 0] = 0
     arr[[0, 5, 10], 0] = [1, 2, 1]
     gen = GfMatrix(3, arr)
-    assert codes._small_dependent_set(gen) is None
-    expect = len(_full_pair_collision(gen))
+    assert codes._small_dependent_set(codes._sparse_columns(gen), 3) is None
+    expect = _full_pair_collision(gen)
     calls = []
     honest = codes._pair_collision
     monkeypatch.setattr(codes, "_pair_collision", lambda *a: calls.append(a) or honest(*a))
@@ -332,7 +389,7 @@ def test_incidence_dual_witnesses(r):
 
 def _reference_dual_distance(gen):
     """Sizes 1-2 by the column scan, then the backtracking search level by level."""
-    small = codes._small_dependent_set(gen)
+    small = codes._small_dependent_set(codes._sparse_columns(gen), gen.r)
     if small is not None:
         return len(small)
     for t in range(3, gen.cols + 1):
@@ -382,6 +439,26 @@ def test_dual_distance_property(gen, max_nodes):
         assert max_nodes != codes.DEFAULT_DUAL_NODES
         assert (res.witness, res.method) == (None, "search budget exceeded")
         assert res.lower <= truth <= res.upper == c.dimension + 1
+
+
+def _sparse_keys(gen):
+    """``_entries`` keys in the order of ``_dense_keys``."""
+    entries, r = codes._sparse_columns(gen), gen.r
+    first, second = np.triu_indices(gen.cols, 1)
+    vals = entries[second] % r
+    sums = [np.hstack([entries[first], entries[second] - vals + (vals * beta) % r])
+            for beta in range(1, r)]
+    singles = np.hstack([entries, 0 * entries])
+    return np.vstack([codes._entries(x, r) for x in [singles] + sums])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(gen=_generators())
+def test_entries_match_dense_keys(gen):
+    # columns of any weight and their pair sums: equal sparse keys exactly where dense keys agree
+    sparse = [k.tobytes() for k in _sparse_keys(gen)]
+    dense = [k.tobytes() for k in _dense_keys(gen)]
+    assert len(set(zip(sparse, dense))) == len(set(sparse)) == len(set(dense))
 
 
 def test_dual_distance_budget_unknown():
