@@ -7,7 +7,6 @@ and the closed-form parameter predictions per structural case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -20,7 +19,6 @@ from .gfmatrix import GfMatrix, PrimeField
 from .rings import CaseTag, StructureProfile
 
 DEFAULT_BUDGET = 2**26
-DEFAULT_DUAL_NODES = 200_000
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ class DistanceResult:
     upper: int
     exact: bool
     method: str
-    witness: Optional[tuple[int, ...]] = None  # dependent columns (dual search)
+    witness: Optional[tuple[int, ...]] = None  # a smallest dependent column set (dual only)
 
     @classmethod
     def known(cls, value: int, method: str, witness=None) -> "DistanceResult":
@@ -92,7 +90,8 @@ def min_distance_exact(c: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceR
         return DistanceResult.unknown(1, n, "zero code")
     if r**k > budget:
         return DistanceResult.unknown(1, n, "budget exceeded")
-    return DistanceResult.known(_enumerate(c.basis.array(), r), "exhaustive")
+    word = _enumerate(c.basis.array(), r)
+    return DistanceResult.known(int(np.count_nonzero(word)), "exhaustive")
 
 
 def _tail_size(k: int, r: int, max_rows: int = 1 << 16) -> int:
@@ -102,8 +101,9 @@ def _tail_size(k: int, r: int, max_rows: int = 1 << 16) -> int:
     return max(j, 1) if k >= 1 else 0
 
 
-def _enumerate(basis: np.ndarray, r: int) -> int:
-    """Lightest nonzero word in the row space of ``basis`` (k >= 1 rows).
+def _enumerate(basis: np.ndarray, r: int) -> np.ndarray:
+    """Lightest nonzero word in the row space of ``basis`` (k >= 1 rows),
+    as one uint8 entry per coordinate.
 
     Over GF(2) a row is packed into bits, XOR adds two rows and a
     popcount weighs one; over any other field a row keeps one byte per
@@ -126,16 +126,17 @@ def _enumerate(basis: np.ndarray, r: int) -> int:
         for _ in range(r - 1):
             layers.append(add(layers[-1], rows[i]))
         table = np.vstack(layers)
-    best = n + 1
+    best, lightest = n + 1, None
     prefix = np.zeros(rows.shape[1], dtype=np.uint8)
     digits = [0] * (k - j)
     while True:
         weights = weigh(add(prefix, table))
-        if any(digits):
-            w = int(weights.min())
-        else:  # table row 0 with a zero prefix is the zero message
-            w = int(weights[1:].min())
-        best = min(best, w)
+        if not any(digits):  # table row 0 with a zero prefix is the zero message
+            weights[0] = n + 1
+        i = int(weights.argmin())
+        if weights[i] < best:
+            # one recomputed row, not a view that would keep the whole block alive
+            best, lightest = int(weights[i]), add(prefix, table[i])
         # advance the base-r prefix odometer
         i = 0
         while i < len(digits):
@@ -146,14 +147,14 @@ def _enumerate(basis: np.ndarray, r: int) -> int:
             digits[i] = 0
             i += 1
         else:
-            return best
+            return np.unpackbits(lightest)[:n] if r == 2 else lightest
 
 
 # ---------------------------------------------------------------------------
 # Dual minimum distance by dependent-column search
 # ---------------------------------------------------------------------------
 
-def dual_min_distance(c: LinearCode, max_nodes: int = DEFAULT_DUAL_NODES) -> DistanceResult:
+def dual_min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Smallest t with t linearly dependent generator columns (the
     generator of C is a parity check for the dual).
 
@@ -162,10 +163,11 @@ def dual_min_distance(c: LinearCode, max_nodes: int = DEFAULT_DUAL_NODES) -> Dis
     by a direct scan. When every column has at most two nonzero entries,
     as in an incidence matrix, sizes 3 and 4 are settled together by one
     pass over the column pairs that share a row (see ``_pair_collision``),
-    if its key table fits ``_COLLISION_KEYS``. Every other size goes to
-    backtracking over column subsets with incremental elimination, up to
-    size k + 1, where any columns are dependent; past ``max_nodes`` nodes
-    over all sizes, a search at size t gives ``Unknown(t, k + 1)``.
+    if its key table fits ``_COLLISION_BYTES``. Past those sizes the dual
+    code itself is enumerated: the support of its lightest nonzero word is
+    a smallest dependent set. Its r^(E - k) words must fit ``budget``; a
+    larger dual gives ``Unknown(t, k + 1)`` with t the smallest size not
+    yet excluded, as any k + 1 columns are dependent.
     """
     gen = c.generator
     ncols, k = gen.cols, c.dimension
@@ -182,19 +184,12 @@ def dual_min_distance(c: LinearCode, max_nodes: int = DEFAULT_DUAL_NODES) -> Dis
         if witness is not None:
             return DistanceResult.known(len(witness), "subset search", witness)
         start = 5  # sizes 3 and 4 are absent
-    left = max_nodes
-    for t in range(start, k + 2):
-        try:
-            # internal search nodes include the independent (t-1)-subsets
-            if math.comb(ncols, t - 1) > left:
-                raise _SearchBudget
-            witness, nodes = _find_dependent_subset(gen, t, left)
-        except _SearchBudget:
-            return DistanceResult.unknown(t, k + 1, "search budget exceeded")
-        if witness is not None:
-            return DistanceResult.known(len(witness), "subset search", witness)
-        left -= nodes
-    raise AssertionError(f"{k + 1} columns of a rank-{k} matrix must be dependent")
+    if gen.r ** (ncols - k) > budget:
+        return DistanceResult.unknown(start, k + 1, "budget exceeded")
+    witness = np.flatnonzero(_enumerate(c.basis.nullspace().array(), gen.r)).tolist()
+    if not gen.columns_dependent(witness):
+        raise RuntimeError(f"lightest dual word gave a non-witness {witness}")
+    return DistanceResult.known(len(witness), "subset search", witness)
 
 
 def _sparse_columns(gen: GfMatrix) -> np.ndarray:
@@ -245,23 +240,24 @@ def _small_dependent_set(entries: np.ndarray, r: int) -> Optional[list[int]]:
     return None
 
 
-# Upper limit on the collision pass's keys, one per column and r - 1 per
-# column pair: keys of at most 16 bytes make a key table within 32 MiB.
-_COLLISION_KEYS = 1 << 21
+# Upper limit on the collision pass's key table, which holds one key per
+# column and r - 1 per column pair
+_COLLISION_BYTES = 32 << 20
 
 
 def _row_sharing_pairs(entries: np.ndarray, r: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The column pairs i < j that share a nonzero row, each listed once,
     for ``_pair_collision``; None when some column has more than two
     nonzero entries, where these pairs do not settle sizes 3 and 4, or
-    when the key table would exceed ``_COLLISION_KEYS``."""
+    when the key table would exceed ``_COLLISION_BYTES``."""
     if entries.shape[1] > 2:
         return None
     cols, slot = np.nonzero(entries)
     on = entries[cols, slot] // r
     deg = np.bincount(on)
     listed = int((deg * (deg - 1) // 2).sum())  # a pair sharing two rows counts twice
-    if entries.shape[0] + listed * (r - 1) > _COLLISION_KEYS:
+    key_bytes = 2 * entries.shape[1] * entries.itemsize  # as laid out in _pair_collision
+    if (entries.shape[0] + listed * (r - 1)) * key_bytes > _COLLISION_BYTES:
         return None
     # the pairs off the diagonal of H^T H, in order and each once
     incidence = sparse.csr_array((np.ones(on.size, dtype=np.int32), (on, cols)))
@@ -326,54 +322,6 @@ def _pair_collision(gen: GfMatrix, entries: np.ndarray, first: np.ndarray,
     if len(set(witness)) != len(witness) or not gen.columns_dependent(witness):
         raise RuntimeError(f"column-pair collision gave a non-witness {witness}")
     return witness
-
-
-def _find_dependent_subset(gen: GfMatrix, t: int,
-                           max_nodes: int) -> tuple[Optional[list[int]], int]:
-    """Backtracking over increasing column indices.
-
-    Each node carries the residuals of every not-yet-chosen column after
-    elimination against the chosen prefix, so extending the prefix is one
-    vectorized rank-1 update and a dependent completion shows up as an
-    all-zero residual column. Returns the first dependent t-subset, or
-    None, with the internal nodes visited; raises _SearchBudget after
-    max_nodes of them."""
-    a = gen.array()
-    r = gen.r
-    ncols = a.shape[1]
-    nodes = 0
-
-    def rec(resid: np.ndarray, idx: np.ndarray, chosen: list[int]) -> Optional[list[int]]:
-        nonlocal nodes
-        if len(chosen) == t - 1:
-            dead = np.nonzero(~resid.any(axis=0))[0]
-            if dead.size:
-                return chosen + [int(idx[dead[0]])]
-            return None
-        # need t - len(chosen) - 1 more columns after the one picked here
-        last = resid.shape[1] - (t - len(chosen) - 1)
-        for i in range(last):
-            nodes += 1
-            if nodes > max_nodes:
-                raise _SearchBudget
-            v = resid[:, i]
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:  # dependent below t; smaller levels normally exclude this
-                return chosen + [int(idx[i])]
-            piv = int(nz[0])
-            inv = pow(int(v[piv]), -1, r)
-            rest = resid[:, i + 1:]
-            child = (rest - np.outer((v * inv) % r, rest[piv])) % r
-            hit = rec(child, idx[i + 1:], chosen + [int(idx[i])])
-            if hit is not None:
-                return hit
-        return None
-
-    return rec(a.copy(), np.arange(ncols), []), nodes
-
-
-class _SearchBudget(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------

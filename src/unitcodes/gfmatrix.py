@@ -98,13 +98,10 @@ class GfMatrix:
     def nullspace(self) -> "GfMatrix":
         """Basis of {x : M x = 0}, one vector per row; (cols - rank) rows."""
         rr, pivots = _eliminate(self._a.copy(), self.r)
-        r = self.r
-        free = [c for c in range(self.cols) if c not in pivots]
+        free = np.setdiff1d(np.arange(self.cols), pivots)
         basis = np.zeros((len(free), self.cols), dtype=np.int64)
-        for i, fc in enumerate(free):
-            basis[i, fc] = 1
-            for row, pc in enumerate(pivots):
-                basis[i, pc] = (-int(rr[row, fc])) % r
+        basis[np.arange(len(free)), free] = 1
+        basis[:, pivots] = -rr[:len(pivots), free].T  # GfMatrix reduces it mod r
         return GfMatrix(self.field, basis)
 
     def row_space_basis(self) -> "GfMatrix":

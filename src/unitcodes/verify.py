@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Any, Optional
 
 from . import codes, graphs
-from .codes import DEFAULT_BUDGET, DEFAULT_DUAL_NODES
+from .codes import DEFAULT_BUDGET
 from .gfmatrix import PrimeField
 from .rings import THEOREM_TAGS, CaseTag, ParityCase, RingSpec, classify
 
@@ -362,7 +362,6 @@ def report_json(config: SweepConfig, records: list[CheckRecord]) -> str:
             "m_range": list(config.m_range),
             "fields": sorted(config.fields),
             "budget": DEFAULT_BUDGET,
-            "dual_nodes": DEFAULT_DUAL_NODES,
             "matrix_entry_cap": MATRIX_ENTRY_CAP,
         },
         "records": [

@@ -159,10 +159,16 @@ def test_enumeration_odometer_property(gen, tail):
     c = from_generator(gen)
     with mock.patch.object(codes, "_tail_size", lambda k, r: min(tail, k)):
         res = min_distance_exact(c)
+        word = codes._enumerate(c.basis.array(), c.r) if c.dimension else None
     if c.dimension == 0:
         assert (res.exact, res.method) == (False, "zero code")
     else:
-        assert (res.exact, res.value) == (True, oracle_min_distance(c))
+        truth = oracle_min_distance(c)
+        assert (res.exact, res.value) == (True, truth)
+        # the returned word is a lightest nonzero codeword
+        assert word.shape == (c.length,) and word.any() and int(word.max()) < c.r
+        assert np.count_nonzero(word) == truth
+        assert GfMatrix(c.r, np.vstack([c.basis.array(), word])).rank() == c.dimension
 
 
 def test_enumeration_agrees_across_fields_trivially():
@@ -219,20 +225,31 @@ def test_dual_distance_witness_is_dependent():
 
 @pytest.mark.parametrize("n,m", [(4, 7), (5, 5), (5, 6), (13, 15), (15, 15)])
 def test_dual_distance_four_by_pair_collision(n, m):
-    # C(E, 3) exceeds the node budget here, so backtracking alone ends Unknown(4, E)
+    # the dual code is past the enumeration budget here, so the pair pass alone decides
     c = _code(n, m, 3)
-    assert math.comb(c.length, 3) > codes.DEFAULT_DUAL_NODES
+    assert 3 ** dual_dimension(c) > codes.DEFAULT_BUDGET
     res = dual_min_distance(c)
     assert (res.exact, res.value, res.method) == (True, 4, "subset search")
     _assert_minimal_witness(c.generator, res)
 
 
 def test_dual_distance_collision_memory_gate(monkeypatch):
-    # (r - 1) keys per row-sharing pair grow with r; past the key limit backtracking takes over
+    # (r - 1) keys per row-sharing pair grow with r; past the byte limit the dual code is enumerated
     c = _code(3, 4, 3)
-    monkeypatch.setattr(codes, "_COLLISION_KEYS", 0)
+    monkeypatch.setattr(codes, "_COLLISION_BYTES", 0)
     res = dual_min_distance(c)
     assert (res.exact, res.value) == (True, 4)
+    _assert_minimal_witness(c.generator, res)
+
+
+def test_dual_distance_collision_bound_in_bytes():
+    # (15,15,7): 2.70 M keys of four uint16 entries make a 21.6 MiB table, within
+    # _COLLISION_BYTES although past the 2^21 keys of 16 bytes that it stands for
+    c = _code(15, 15, 7)
+    first, _ = codes._row_sharing_pairs(codes._sparse_columns(c.generator), 7)
+    assert c.length + first.size * 6 > 2**21
+    res = dual_min_distance(c)
+    assert (res.exact, res.value, res.method) == (True, 4, "subset search")
     _assert_minimal_witness(c.generator, res)
 
 
@@ -387,17 +404,6 @@ def test_incidence_dual_witnesses(r):
     assert exact >= 45
 
 
-def _reference_dual_distance(gen):
-    """Sizes 1-2 by the column scan, then the backtracking search level by level."""
-    small = codes._small_dependent_set(codes._sparse_columns(gen), gen.r)
-    if small is not None:
-        return len(small)
-    for t in range(3, gen.cols + 1):
-        if codes._find_dependent_subset(gen, t, max_nodes=10**9)[0] is not None:
-            return t
-    return None
-
-
 @st.composite
 def _generators(draw):
     """Pairwise non-proportional nonzero columns over GF(r), shapes up to
@@ -421,13 +427,11 @@ def _generators(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(gen=_generators(), max_nodes=st.sampled_from([codes.DEFAULT_DUAL_NODES, 10, 1]))
-def test_dual_distance_property(gen, max_nodes):
+@given(gen=_generators(), budget=st.sampled_from([codes.DEFAULT_BUDGET, 10, 1]))
+def test_dual_distance_property(gen, budget):
     c = from_generator(gen)
     truth = oracle_dual_distance(c, cap=gen.cols)
-    if max_nodes == codes.DEFAULT_DUAL_NODES:
-        assert _reference_dual_distance(gen) == truth
-    res = dual_min_distance(c, max_nodes=max_nodes)
+    res = dual_min_distance(c, budget=budget)
     if truth is None:  # independent columns
         assert (res.exact, res.method, res.lower, res.upper) == (False, "zero code", 1, gen.cols)
         assert dual_dimension(c) == 0
@@ -435,9 +439,9 @@ def test_dual_distance_property(gen, max_nodes):
         assert res.value == truth
         _assert_minimal_witness(gen, res)
     else:
-        # the default budget covers every size here, so only a small one stops the search
-        assert max_nodes != codes.DEFAULT_DUAL_NODES
-        assert (res.witness, res.method) == (None, "search budget exceeded")
+        # only a dual code with more than budget words stops the search
+        assert gen.r ** dual_dimension(c) > budget
+        assert (res.witness, res.method) == (None, "budget exceeded")
         assert res.lower <= truth <= res.upper == c.dimension + 1
 
 
@@ -462,19 +466,12 @@ def test_entries_match_dense_keys(gen):
 
 
 def test_dual_distance_budget_unknown():
-    # the pair pass excludes 3 and 4; the girth-6 code needs level 5, C(6, 4) > 10
+    # girth 6: the pair pass excludes 3 and 4, and the dual code has 2^(E - k) = 2 words
     c = _code(2, 3, 2)
-    res = dual_min_distance(c, max_nodes=10)
-    assert not res.exact
-    assert res.lower >= 5
-
-
-def test_dual_distance_budget_spans_sizes():
-    # (2,6,2): level 5 takes 494 nodes and finds nothing; level 6 needs C(12, 5) = 792 more
-    c = _code(2, 6, 2)
-    res = dual_min_distance(c, max_nodes=494 + 792 - 1)
-    assert (res.exact, res.lower, res.upper) == (False, 6, c.dimension + 1)
-    res = dual_min_distance(c, max_nodes=494 + 792)
+    res = dual_min_distance(c, budget=1)
+    assert (res.exact, res.lower, res.upper, res.method) == (
+        False, 5, c.dimension + 1, "budget exceeded")
+    res = dual_min_distance(c, budget=2)
     assert (res.exact, res.value) == (True, 6)
 
 
