@@ -109,8 +109,8 @@ def build_parser() -> _Parser:
     p.add_argument("m", type=_modulus)
     p.add_argument("--field", type=_prime, required=True)
     p.add_argument("--exact", action="store_true",
-                   help="compute the exact minimum distance by enumerating at most "
-                        f"{codes.DEFAULT_BUDGET} messages")
+                   help="compute the exact minimum distance by the Brouwer-Zimmermann "
+                        f"search, enumerating at most {codes.DEFAULT_BUDGET} codewords")
 
     p = sub.add_parser("dual", help="dual-code dimension and minimum distance")
     p.add_argument("n", type=_modulus)

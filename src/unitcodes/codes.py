@@ -1,12 +1,15 @@
 """Linear codes spanned by incidence-matrix rows over GF(r).
 
-Provides exact dimension (rank), exhaustive minimum distance within an
-enumeration budget, dual minimum distance by dependent-column search,
-and the closed-form parameter predictions per structural case.
+Provides exact dimension (rank), minimum distance by the
+Brouwer-Zimmermann information-set search within a codeword budget, dual
+minimum distance by dependent-column search, and the closed-form
+parameter predictions per structural case.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -49,7 +52,8 @@ class DistanceResult:
     upper: int
     exact: bool
     method: str
-    witness: Optional[tuple[int, ...]] = None  # a smallest dependent column set (dual only)
+    # a lightest codeword (primal) or a smallest dependent column set (dual)
+    witness: Optional[tuple[int, ...]] = None
 
     @classmethod
     def known(cls, value: int, method: str, witness=None) -> "DistanceResult":
@@ -74,80 +78,162 @@ def dual_dimension(c: LinearCode) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Minimum distance by exhaustive codeword enumeration
+# Minimum distance by the Brouwer-Zimmermann search
 # ---------------------------------------------------------------------------
 
 def min_distance_exact(c: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceResult:
-    """Minimum nonzero codeword weight over all r^k - 1 messages.
+    """Minimum nonzero codeword weight by the Brouwer-Zimmermann search
+    (``_brouwer_zimmermann``) over at most ``budget`` codewords.
 
-    Enumerates in blocks: the tail coordinates are expanded into a
-    precomputed combination table, the remaining prefix runs through a
-    base-r odometer with incremental codeword updates, so the per-message
-    cost is a vectorized table row.
+    An exact result carries a lightest codeword as its witness, re-checked
+    to lie in the row space and to have the stated weight. Past the budget
+    the result is ``Unknown(lower, upper)``: the search's lower bound and
+    the lightest weight it found.
     """
-    k, n, r = c.dimension, c.length, c.r
+    k, n = c.dimension, c.length
     if k == 0:
         return DistanceResult.unknown(1, n, "zero code")
-    if r**k > budget:
-        return DistanceResult.unknown(1, n, "budget exceeded")
-    word = _enumerate(c.basis.array(), r)
-    return DistanceResult.known(int(np.count_nonzero(word)), "exhaustive")
+    lower, upper, word = _brouwer_zimmermann(c.basis, budget)
+    if lower < upper:
+        return DistanceResult.unknown(lower, upper, "budget exceeded")
+    if (np.count_nonzero(word) != upper
+            or GfMatrix(c.field, np.vstack([c.basis.array(), word])).rank() != k):
+        raise RuntimeError(f"search gave a non-witness of weight {upper}: {word.tolist()}")
+    return DistanceResult.known(upper, "Brouwer-Zimmermann", word.tolist())
 
 
-def _tail_size(k: int, r: int, max_rows: int = 1 << 16) -> int:
-    j = 0
-    while j < k and r ** (j + 1) <= max_rows:
-        j += 1
-    return max(j, 1) if k >= 1 else 0
+# Seed of the column order that information sets are taken from: every
+# order gives the same distance, a fixed one the same witness on every run
+_COLUMN_SEED = 0
 
 
-def _enumerate(basis: np.ndarray, r: int) -> np.ndarray:
-    """Lightest nonzero word in the row space of ``basis`` (k >= 1 rows),
-    as one uint8 entry per coordinate.
+def _brouwer_zimmermann(basis: GfMatrix, budget: int,
+                        order: Optional[np.ndarray] = None) -> tuple[int, int, np.ndarray]:
+    """Bounds lower <= d <= upper on the minimum distance of the row space
+    of ``basis`` (k >= 1 independent rows), and a codeword of weight
+    upper; lower == upper unless finishing would enumerate more than
+    ``budget`` codewords. Information sets take the columns in ``order``,
+    by default a random order drawn from ``_COLUMN_SEED``.
 
-    Over GF(2) a row is packed into bits, XOR adds two rows and a
-    popcount weighs one; over any other field a row keeps one byte per
-    entry, adds mod r and is weighed by ``count_nonzero``.
+    Brouwer-Zimmermann over disjoint information sets (Zimmermann 1996;
+    Grassl, "Searching for linear codes with large minimum distance",
+    2006). Set j is made by ``_information_set`` from the columns no
+    earlier set holds, taken in ``order``, so the sets are disjoint and
+    their ranks k_j never grow with j. Its generator G_j is the identity
+    on I_j in its first k_j rows, and zero there in the others. Set j
+    enumerates the messages of weight 1, 2, ... with their first nonzero
+    coefficient 1 (scalar multiples weigh the same). Once it has
+    enumerated every weight up to w_j, a codeword not yet seen has a
+    message of weight above w_j under G_j, of which at most k - k_j
+    entries fall outside the first k_j, so at least w_j + 1 - (k - k_j)
+    entries of the codeword on I_j are nonzero. Summed over the disjoint
+    sets, that bounds the weight of every codeword not yet seen, and the
+    search ends when the sum reaches the lightest weight found, or when a
+    set has enumerated all k levels, that is every codeword.
+
+    Levels run w = 1, 2, ...: at level w every set whose bound can grow
+    there (w + 1 > k - k_j) enumerates each level it has not yet
+    enumerated up to w (a set made late starts at weight 1), new sets
+    being made while the last one can grow, and the bound is tested after
+    each set. The budget is tested before each level of each set. On a
+    graph's cut space the information sets are spanning trees, and a
+    graph of edge connectivity lambda has floor(lambda / 2) edge-disjoint
+    ones (Nash-Williams; Tutte, 1961), which is why the search ends by
+    w = 2 on every code of the [2,10]^2 x {2,3} sweep.
     """
-    k, n = basis.shape
+    k, n, r = basis.rows, basis.cols, basis.r
     if r == 2:
-        rows = np.packbits(basis.astype(np.uint8), axis=1)
+        def pack(rows: np.ndarray) -> np.ndarray:  # bits in uint64 words
+            packed = np.packbits(rows.astype(np.uint8), axis=1)
+            return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+
         add = np.bitwise_xor
         weigh = lambda words: np.bitwise_count(words).sum(axis=1)
+        scale = lambda x, c: x  # c is 1
+        unpack = lambda word: np.unpackbits(word.view(np.uint8))[:n]
     else:
-        rows = basis.astype(np.uint8)
+        pack = lambda rows: rows.astype(np.uint8)
         # r <= MAX_FIELD: x + y < 2r <= 254 does not overflow; below r, x + y - r wraps
         add = lambda x, y: np.minimum(x + y, x + y - r)
         weigh = lambda words: np.count_nonzero(words, axis=1)
-    j = _tail_size(k, r)
-    table = np.zeros((1, rows.shape[1]), dtype=np.uint8)
-    for i in range(k - j, k):
-        layers = [table]
-        for _ in range(r - 1):
-            layers.append(add(layers[-1], rows[i]))
-        table = np.vstack(layers)
-    best, lightest = n + 1, None
-    prefix = np.zeros(rows.shape[1], dtype=np.uint8)
-    digits = [0] * (k - j)
-    while True:
-        weights = weigh(add(prefix, table))
-        if not any(digits):  # table row 0 with a zero prefix is the zero message
-            weights[0] = n + 1
-        i = int(weights.argmin())
-        if weights[i] < best:
-            # one recomputed row, not a view that would keep the whole block alive
-            best, lightest = int(weights[i]), add(prefix, table[i])
-        # advance the base-r prefix odometer
-        i = 0
-        while i < len(digits):
-            prefix = add(prefix, rows[i])
-            digits[i] += 1
-            if digits[i] < r:
-                break
-            digits[i] = 0
-            i += 1
-        else:
-            return np.unpackbits(lightest)[:n] if r == 2 else lightest
+        products = (np.arange(r)[:, None] * np.arange(r) % r).astype(np.uint8)
+        scale = lambda x, c: x if c == 1 else products[c][x]
+        unpack = lambda word: word
+
+    rows = basis.array()
+    weights = np.count_nonzero(rows, axis=1)
+    upper, lightest = int(weights.min()), rows[weights.argmin()].astype(np.uint8)
+    unused = np.random.default_rng(_COLUMN_SEED).permutation(n) if order is None else order
+    tables: list[np.ndarray] = []  # one row per message coordinate
+    ranks: list[int] = []
+    done: list[int] = []  # every message weight up to done[j] is enumerated
+    spent = 0
+
+    def lower() -> int:
+        return max(1, sum(max(0, wj + 1 - (k - kj)) for wj, kj in zip(done, ranks)))
+
+    for w in itertools.count(1):
+        for j in itertools.count():
+            if j == len(tables):
+                gen, rank, unused = _information_set(basis, unused)
+                tables.append(pack(gen))
+                ranks.append(rank)
+                done.append(0)
+            if w + 1 <= k - ranks[j]:
+                break  # and no later set, of no larger rank, can grow either
+            for level in range(done[j] + 1, w + 1):
+                cost = math.comb(k, level) * (r - 1) ** (level - 1)
+                if spent + cost > budget:
+                    return lower(), upper, lightest
+                spent += cost
+                weight, word = _lightest_at_level(tables[j], level, r, add, weigh, scale)
+                if weight < upper:
+                    upper, lightest = weight, unpack(word)
+                done[j] = level
+            if w == k or lower() >= upper:  # w == k: set j saw every codeword
+                return upper, upper, lightest
+
+
+def _information_set(basis: GfMatrix, unused: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """A generator of the row space of ``basis`` made by elimination that
+    pivots on the ``unused`` columns first, in their order: its first k_j
+    rows are the identity on k_j of them, and its other rows vanish on all
+    of them. Returns the generator in the original column order, k_j, and
+    the unused columns that remain, in their order."""
+    order = np.concatenate([unused, np.setdiff1d(np.arange(basis.cols), unused)])
+    rr, pivots = GfMatrix(basis.field, basis.array()[:, order]).rref()
+    rank = int(np.searchsorted(pivots, unused.size))
+    gen = np.empty_like(rr.array())
+    gen[:, order] = rr.array()
+    return gen, rank, np.delete(unused, pivots[:rank])
+
+
+def _lightest_at_level(table: np.ndarray, w: int, r: int, add, weigh, scale) -> tuple[int, np.ndarray]:
+    """Lightest of the codewords sum_i c_i table[i] whose message c has
+    weight ``w`` and first nonzero coefficient 1, with its weight.
+
+    Each message is a prefix on its first w - 1 nonzero coordinates, summed
+    one row at a time, plus its last coefficient times a row after the
+    prefix's last one; for each last coefficient, all of those rows are
+    added to the prefix in one vectorized block. Nothing larger than the
+    table is held, whatever the field."""
+    best, lightest = None, None
+    for last in range(1, 2 if w == 1 else r):
+        scaled = scale(table, last)
+        for support in itertools.combinations(range(table.shape[0] - 1), w - 1):
+            for scales in itertools.product(range(1, r), repeat=max(w - 2, 0)):
+                if not support:  # weight 1: the rows themselves
+                    words = scaled
+                else:
+                    prefix = table[support[0]]
+                    for i, c in zip(support[1:], scales):
+                        prefix = add(prefix, scale(table[i], c))
+                    words = add(prefix, scaled[support[-1] + 1:])
+                weights = weigh(words)
+                i = int(weights.argmin())
+                if best is None or weights[i] < best:
+                    best, lightest = int(weights[i]), words[i].copy()
+    return best, lightest
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +250,13 @@ def dual_min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceRe
     as in an incidence matrix, sizes 3 and 4 are settled together by one
     pass over the column pairs that share a row (see ``_pair_collision``),
     if its key table fits ``_COLLISION_BYTES``. Past those sizes the dual
-    code itself is enumerated: the support of its lightest nonzero word is
-    a smallest dependent set. Its r^(E - k) words must fit ``budget``; a
-    larger dual gives ``Unknown(t, k + 1)`` with t the smallest size not
-    yet excluded, as any k + 1 columns are dependent.
+    code itself, a nullspace basis, is searched by ``_brouwer_zimmermann``:
+    the support of its lightest nonzero word is a smallest dependent set.
+    The dual must have at most ``budget`` words, r^(E - k), and the search
+    enumerate at most ``budget`` of them; otherwise the result is
+    ``Unknown(t, u)`` with t the smallest size not yet excluded and u the
+    smallest dependent set found, or k + 1, as any k + 1 columns are
+    dependent.
     """
     gen = c.generator
     ncols, k = gen.cols, c.dimension
@@ -186,10 +275,13 @@ def dual_min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceRe
         start = 5  # sizes 3 and 4 are absent
     if gen.r ** (ncols - k) > budget:
         return DistanceResult.unknown(start, k + 1, "budget exceeded")
-    witness = np.flatnonzero(_enumerate(c.basis.nullspace().array(), gen.r)).tolist()
-    if not gen.columns_dependent(witness):
+    lower, upper, word = _brouwer_zimmermann(c.basis.nullspace(), budget)
+    if lower < upper:
+        return DistanceResult.unknown(max(start, lower), min(upper, k + 1), "budget exceeded")
+    witness = np.flatnonzero(word).tolist()
+    if len(witness) != upper or not gen.columns_dependent(witness):
         raise RuntimeError(f"lightest dual word gave a non-witness {witness}")
-    return DistanceResult.known(len(witness), "subset search", witness)
+    return DistanceResult.known(upper, "subset search", witness)
 
 
 def _sparse_columns(gen: GfMatrix) -> np.ndarray:

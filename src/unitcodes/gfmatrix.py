@@ -1,7 +1,8 @@
 """Exact dense linear algebra over prime fields GF(r).
 
-Entries live in numpy int64 arrays reduced mod r; elimination uses
-modular inverses (``pow(x, -1, r)``), so every result is exact.
+Entries live in numpy int64 arrays reduced mod r; elimination works on
+an int16 copy and uses modular inverses (``pow(x, -1, r)``), so every
+result is exact.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import numpy as np
 
 from .rings import is_prime
 
-# largest field order: codes enumerate in uint8 rows, and the bound keeps
-# primality testing and per-field tables small
+# largest field order: codes search in uint8 rows, elimination runs in
+# int16, and the bound keeps primality testing and per-field tables small
 MAX_FIELD = 127
 
 
@@ -84,11 +85,11 @@ class GfMatrix:
 
     def rref(self) -> tuple["GfMatrix", list[int]]:
         """Reduced row echelon form and the pivot column list."""
-        m, pivots = _eliminate(self._a.copy(), self.r)
+        m, pivots = _eliminate(self._a, self.r)
         return GfMatrix(self.field, m), pivots
 
     def rank(self) -> int:
-        _, pivots = _eliminate(self._a.copy(), self.r)
+        _, pivots = _eliminate(self._a, self.r)
         return len(pivots)
 
     def columns_dependent(self, cols: Iterable[int]) -> bool:
@@ -97,7 +98,7 @@ class GfMatrix:
 
     def nullspace(self) -> "GfMatrix":
         """Basis of {x : M x = 0}, one vector per row; (cols - rank) rows."""
-        rr, pivots = _eliminate(self._a.copy(), self.r)
+        rr, pivots = _eliminate(self._a, self.r)
         free = np.setdiff1d(np.arange(self.cols), pivots)
         basis = np.zeros((len(free), self.cols), dtype=np.int64)
         basis[np.arange(len(free)), free] = 1
@@ -111,7 +112,10 @@ class GfMatrix:
 
 
 def _eliminate(a: np.ndarray, r: int) -> tuple[np.ndarray, list[int]]:
-    """In-place Gauss-Jordan over GF(r); returns (rref array, pivot columns)."""
+    """Gauss-Jordan over GF(r) on an int16 copy of ``a``; returns (rref
+    array, pivot columns). Entries stay below r <= MAX_FIELD = 127, so a
+    product of two and a difference with one stay within int16."""
+    a = a.astype(np.int16, order="C")  # rows contiguous, whatever the layout of a
     rows, cols = a.shape
     pivots: list[int] = []
     pr = 0

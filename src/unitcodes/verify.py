@@ -240,7 +240,7 @@ def _code_checks(g, inv, profile, r: int) -> list[Check]:
                              Status.PASS if dist.value == inv.edge_connectivity else Status.FAIL))
         else:
             out.append(Check("CodeDistanceEqualsLambda", inv.edge_connectivity, _dist(dist),
-                             Status.SKIPPED, "distance enumeration budget exceeded"))
+                             Status.SKIPPED, "minimum-distance search budget exceeded"))
     else:
         out.append(Check("CodeDistanceEqualsLambda", None, None,
                          Status.SKIPPED, "needs r = 2 or a bipartite graph with odd r"))

@@ -2,16 +2,21 @@
 
 Each test prints a single summary line (bypassing capture) with the
 elapsed time, and enforces both the mathematical claim and the time
-budget.
+budget. Minimum distances come from the Brouwer-Zimmermann search, so
+AC4 checks every theorem instance of [2,14]^2 x {2,3} whose incidence
+matrix is within the verifier's size cap, and each exact distance is
+checked against its witness.
 """
 
 import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from unitcodes import codes, graphs, verify
+from unitcodes.gfmatrix import GfMatrix
 from unitcodes.rings import CaseTag, RingSpec, classify, euler_phi
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,17 +98,25 @@ def test_acceptance_4_code_parameters(capsys):
             pred = codes.predict(profile, r)
             if not pred.source.is_theorem:
                 continue
-            if r ** pred.primal.dimension > 2**26:
-                continue
             g = graphs.build(RingSpec(n, m))
+            if g.num_vertices * g.num_edges > verify.MATRIX_ENTRY_CAP:
+                continue
             c = codes.from_incidence(g, r)
             assert (c.length, c.dimension) == (pred.primal.length, pred.primal.dimension), (n, m, r)
             d = codes.min_distance_exact(c)
             assert d.exact and d.value == pred.primal.min_distance, (n, m, r)
             assert d.value == graphs.edge_connectivity(g), (n, m, r)
+            _assert_codeword_witness(c, d)
             checked += 1
-    assert checked >= 12
+    assert checked >= 60
     _report(capsys, f"AC4 code parameters + d = lambda, {checked} instances", t0, limit=120.0)
+
+
+def _assert_codeword_witness(code, dist):
+    """The witness of an exact distance is a codeword of that weight."""
+    word = np.array(dist.witness)
+    assert np.count_nonzero(word) == dist.value
+    assert GfMatrix(code.r, np.vstack([code.basis.array(), word])).rank() == code.dimension
 
 
 def test_acceptance_5_dual_distances(capsys):
@@ -119,6 +132,7 @@ def test_acceptance_5_dual_distances(capsys):
                 c2 = codes.from_incidence(g, 2)
                 res = codes.dual_min_distance(c2)
                 assert res.exact and res.value == inv.girth, (n, m)
+                assert len(res.witness) == res.value and c2.generator.columns_dependent(res.witness)
                 checked += 1
                 if tag in ODD_ODD:
                     assert res.value == 3, (n, m)
@@ -128,6 +142,7 @@ def test_acceptance_5_dual_distances(capsys):
                 res = codes.dual_min_distance(c3)
                 expect = 6 if n * m == 6 else 4
                 assert res.exact and res.value == expect, (n, m)
+                assert len(res.witness) == res.value and c3.generator.columns_dependent(res.witness)
                 checked += 1
     assert checked >= 115
     _report(capsys, f"AC5 dual distances (3/4/6 and girth), {checked} instances", t0, limit=60.0)
@@ -155,6 +170,23 @@ def test_acceptance_6_conjecture_evidence(capsys, conjecture_sweep):
     assert passes > 0
     assert not failures, f"conjecture counterexamples: {failures}"
     _report(capsys, f"AC6 conjecture sweep [2,10]x[2,10]x{{2,3}}, {passes} passes", t0)
+
+
+def test_passes_rest_on_exact_values(capsys, conjecture_sweep):
+    # a bracket never passes a check, and the sweep decides every distance it asks for
+    t0 = time.time()
+    _, records = conjecture_sweep
+    passes = 0
+    for rec in records:
+        for ch in rec.checks:
+            if "Unknown(" in str(ch.observed):
+                assert ch.status == verify.Status.SKIPPED, (rec.n, rec.m, rec.r, ch.name)
+                assert "budget" not in ch.reason and "bracketed" not in ch.reason, (rec.n, rec.m, rec.r, ch.name)
+            elif ch.status in (verify.Status.PASS, verify.Status.CONJECTURE_PASS):
+                passes += 1
+    lambda_checks = [ch for rec in records for ch in rec.checks if ch.name == "CodeDistanceEqualsLambda"]
+    assert sum(ch.status == verify.Status.PASS for ch in lambda_checks) == 96
+    _report(capsys, f"passes on exact values, {passes} passes", t0)
 
 
 def test_acceptance_7_determinism(capsys, conjecture_sweep):

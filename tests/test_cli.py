@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from unitcodes import graphs
+from unitcodes import codes, graphs
 from unitcodes.cli import _UsageError, build_parser, run
 
 
@@ -61,11 +61,15 @@ def test_code_without_exact(capsys):
     assert capsys.readouterr().out.strip() == "[56,14,?]_2"
 
 
-def test_code_budget_bracket(capsys):
-    # 2^29 messages are past the enumeration budget of 2^26
+def test_code_budget_bracket(capsys, monkeypatch):
+    # 2^29 messages, but the search needs fewer than 1,000 codewords
     assert run(["code", "5", "6", "--field", "2", "--exact"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out == "[120,29,?(1..120)]_2"
+    assert capsys.readouterr().out.strip() == "[120,29,8]_2"
+    # a search cut short by the budget prints its bracket
+    honest = codes.min_distance_exact
+    monkeypatch.setattr(codes, "min_distance_exact", lambda c: honest(c, budget=100))
+    assert run(["code", "5", "6", "--field", "2", "--exact"]) == 0
+    assert capsys.readouterr().out.strip() == "[120,29,?(6..8)]_2"
 
 
 def test_dual(capsys):

@@ -3,13 +3,14 @@
 Distances are cross-checked against naive oracles written from the
 definitions: full message enumeration with itertools for the primal
 distance, subset dependence testing with an inline field elimination for
-the dual distance.
+the dual distance. The vectorized exhaustive enumeration that the
+Brouwer-Zimmermann search replaced stays here as the oracle for codes
+too large for the itertools one.
 """
 
 import itertools
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,6 +81,66 @@ def _rank_mod(a, r):
     return rank
 
 
+def _tail_size(k, r, max_rows=1 << 16):
+    j = 0
+    while j < k and r ** (j + 1) <= max_rows:
+        j += 1
+    return max(j, 1) if k >= 1 else 0
+
+
+def _enumerate(basis, r, tail=None):
+    """Lightest nonzero word in the row space of ``basis`` (k >= 1 rows),
+    as one uint8 entry per coordinate, by enumerating all r^k messages.
+
+    The last ``tail`` rows (by default ``_tail_size``) are expanded into a
+    table of all their combinations, and the other rows run through a
+    base-r odometer with incremental word updates, so each message costs
+    one vectorized table row. Over GF(2) a row is packed into bits, XOR
+    adds two rows and a popcount weighs one; over any other field a row
+    keeps one byte per entry, adds mod r and is weighed by
+    ``count_nonzero``.
+    """
+    k, n = basis.shape
+    if r == 2:
+        rows = np.packbits(basis.astype(np.uint8), axis=1)
+        add = np.bitwise_xor
+        weigh = lambda words: np.bitwise_count(words).sum(axis=1)
+    else:
+        rows = basis.astype(np.uint8)
+        # r <= MAX_FIELD: x + y < 2r <= 254 does not overflow; below r, x + y - r wraps
+        add = lambda x, y: np.minimum(x + y, x + y - r)
+        weigh = lambda words: np.count_nonzero(words, axis=1)
+    j = _tail_size(k, r) if tail is None else min(tail, k)
+    table = np.zeros((1, rows.shape[1]), dtype=np.uint8)
+    for i in range(k - j, k):
+        layers = [table]
+        for _ in range(r - 1):
+            layers.append(add(layers[-1], rows[i]))
+        table = np.vstack(layers)
+    best, lightest = n + 1, None
+    prefix = np.zeros(rows.shape[1], dtype=np.uint8)
+    digits = [0] * (k - j)
+    while True:
+        weights = weigh(add(prefix, table))
+        if not any(digits):  # table row 0 with a zero prefix is the zero message
+            weights[0] = n + 1
+        i = int(weights.argmin())
+        if weights[i] < best:
+            # one recomputed row, not a view that would keep the whole block alive
+            best, lightest = int(weights[i]), add(prefix, table[i])
+        # advance the base-r prefix odometer
+        i = 0
+        while i < len(digits):
+            prefix = add(prefix, rows[i])
+            digits[i] += 1
+            if digits[i] < r:
+                break
+            digits[i] = 0
+            i += 1
+        else:
+            return np.unpackbits(lightest)[:n] if r == 2 else lightest
+
+
 def _code(n, m, r):
     return from_incidence(build(RingSpec(n, m)), r)
 
@@ -117,12 +178,14 @@ def test_min_distance_matches_oracle(n, m, r):
 
 
 def test_min_distance_budget_gate():
-    c = _code(3, 5, 2)  # 2^14 messages
-    res = min_distance_exact(c, budget=2**10)
-    assert not res.exact
-    assert res.value is None
-    assert res.lower == 1 and res.upper == c.length
-    assert "budget" in res.method
+    # (3,5,2) needs 100 codewords; fewer leave a bracket from the search's
+    # lower bound to the lightest weight found, not [1, E]
+    c = _code(3, 5, 2)
+    assert min_distance_exact(c, budget=100).value == 7
+    for budget, lower in [(0, 1), (14, 3), (28, 5), (50, 6)]:
+        res = min_distance_exact(c, budget=budget)
+        assert (res.exact, res.value, res.witness) == (False, None, None)
+        assert (res.lower, res.upper, res.method) == (lower, 7, "budget exceeded")
 
 
 def test_min_distance_zero_code():
@@ -157,18 +220,79 @@ def _message_generators(draw):
 def test_enumeration_odometer_property(gen, tail):
     # a tail of 1 or 2 rows leaves the prefix odometer up to 6 digits to carry through
     c = from_generator(gen)
-    with mock.patch.object(codes, "_tail_size", lambda k, r: min(tail, k)):
-        res = min_distance_exact(c)
-        word = codes._enumerate(c.basis.array(), c.r) if c.dimension else None
+    if c.dimension == 0:
+        return
+    word = _enumerate(c.basis.array(), c.r, tail)
+    truth = oracle_min_distance(c)
+    # the returned word is a lightest nonzero codeword
+    assert word.shape == (c.length,) and word.any() and int(word.max()) < c.r
+    assert np.count_nonzero(word) == truth
+    assert GfMatrix(c.r, np.vstack([c.basis.array(), word])).rank() == c.dimension
+
+
+@st.composite
+def _information_set_generators(draw):
+    """k x n generators over GF(r) with k <= 9, r^k < 2^15 and n <= 3k + 5,
+    whose columns after the first information set often have rank below
+    k: a block of random columns, a block drawn from a random subspace of
+    smaller dimension, and now and then repeated or zero columns, in
+    shuffled order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = int(rng.choice([2, 3, 5, 7]))
+    k = int(rng.integers(1, {2: 9, 3: 8, 5: 6, 7: 5}[r] + 1))
+    spread = rng.integers(0, r, size=(k, int(rng.integers(1, k + 3))))
+    sub = rng.integers(0, r, size=(k, int(rng.integers(0, k + 1))))
+    low = sub @ rng.integers(0, r, size=(sub.shape[1], int(rng.integers(0, 2 * k + 1))))
+    a = np.hstack([spread, low])
+    if rng.random() < 0.2:
+        a = np.hstack([a, a[:, rng.integers(a.shape[1], size=int(rng.integers(1, 4)))]])
+    if rng.random() < 0.1:
+        a[:, rng.integers(a.shape[1])] = 0
+    return GfMatrix(r, a[:, rng.permutation(a.shape[1])])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(gen=_information_set_generators(), budget=st.sampled_from([codes.DEFAULT_BUDGET, 30]))
+def test_brouwer_zimmermann_matches_enumeration(gen, budget):
+    c = from_generator(gen)
+    res = min_distance_exact(c, budget=budget)
     if c.dimension == 0:
         assert (res.exact, res.method) == (False, "zero code")
+        return
+    truth = int(np.count_nonzero(_enumerate(c.basis.array(), c.r)))
+    if res.exact:
+        assert res.value == truth
+        witness = np.array(res.witness)
+        assert np.count_nonzero(witness) == truth
+        assert GfMatrix(c.r, np.vstack([c.basis.array(), witness])).rank() == c.dimension
     else:
-        truth = oracle_min_distance(c)
-        assert (res.exact, res.value) == (True, truth)
-        # the returned word is a lightest nonzero codeword
-        assert word.shape == (c.length,) and word.any() and int(word.max()) < c.r
-        assert np.count_nonzero(word) == truth
-        assert GfMatrix(c.r, np.vstack([c.basis.array(), word])).rank() == c.dimension
+        # only the small budget stops the search, with a bracket around the distance
+        assert budget == 30 and (res.method, res.witness) == ("budget exceeded", None)
+        assert res.lower <= truth <= res.upper
+
+
+@st.composite
+def _late_set_generators(draw):
+    """[I_k | A] over GF(r) with A of rank s <= k - 2, so that with the
+    columns taken in order every information set after the identity has
+    rank at most s: it joins the search only at weight k - s and must then
+    enumerate from weight 1, or it misses the words hidden in its rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = int(rng.choice([2, 3, 5, 7]))
+    k = int(rng.integers(3, {2: 10, 3: 7, 5: 5, 7: 5}[r] + 1))
+    s = int(rng.integers(1, k - 1))
+    a = rng.integers(0, r, size=(k, s)) @ rng.integers(0, r, size=(s, int(rng.integers(s, 2 * k + 1))))
+    return GfMatrix(r, np.hstack([np.eye(k, dtype=int), a]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(gen=_late_set_generators())
+def test_brouwer_zimmermann_late_sets_start_at_weight_one(gen):
+    c = from_generator(gen)
+    truth = int(np.count_nonzero(_enumerate(c.basis.array(), c.r)))
+    lower, upper, word = codes._brouwer_zimmermann(c.basis, codes.DEFAULT_BUDGET,
+                                                   np.arange(c.length))
+    assert lower == upper == np.count_nonzero(word) == truth
 
 
 def test_enumeration_agrees_across_fields_trivially():
@@ -225,7 +349,7 @@ def test_dual_distance_witness_is_dependent():
 
 @pytest.mark.parametrize("n,m", [(4, 7), (5, 5), (5, 6), (13, 15), (15, 15)])
 def test_dual_distance_four_by_pair_collision(n, m):
-    # the dual code is past the enumeration budget here, so the pair pass alone decides
+    # the dual code has more than DEFAULT_BUDGET words here, so the pair pass alone decides
     c = _code(n, m, 3)
     assert 3 ** dual_dimension(c) > codes.DEFAULT_BUDGET
     res = dual_min_distance(c)
@@ -439,10 +563,12 @@ def test_dual_distance_property(gen, budget):
         assert res.value == truth
         _assert_minimal_witness(gen, res)
     else:
-        # only a dual code with more than budget words stops the search
-        assert gen.r ** dual_dimension(c) > budget
+        # a dual code with more than budget words, or a search that would
+        # enumerate more than budget of them, stops with a bracket
         assert (res.witness, res.method) == (None, "budget exceeded")
-        assert res.lower <= truth <= res.upper == c.dimension + 1
+        assert res.lower <= truth <= res.upper <= c.dimension + 1
+        if gen.r ** dual_dimension(c) > budget:
+            assert res.upper == c.dimension + 1
 
 
 def _sparse_keys(gen):
@@ -473,6 +599,18 @@ def test_dual_distance_budget_unknown():
         False, 5, c.dimension + 1, "budget exceeded")
     res = dual_min_distance(c, budget=2)
     assert (res.exact, res.value) == (True, 6)
+
+
+def test_dual_distance_search_budget():
+    # the dual code is three copies of the [7,3,4] simplex code, [21,3,12]: its
+    # 2^3 words pass a gate of 8, but its search needs more than 8 codewords
+    simplex = np.array([[int(b) for b in f"{x:03b}"] for x in range(1, 8)]).T
+    c = from_generator(GfMatrix(2, np.hstack([simplex] * 3)).nullspace())
+    res = dual_min_distance(c, budget=8)
+    assert (res.exact, res.lower, res.upper, res.method) == (False, 5, 12, "budget exceeded")
+    res = dual_min_distance(c)
+    assert (res.exact, res.value) == (True, 12)
+    _assert_minimal_witness(c.generator, res)
 
 
 def test_dual_distance_zero_code():

@@ -70,14 +70,23 @@ def test_dual_dimension_fails_on_a_planted_wrong_rank(monkeypatch):
     assert (check.predicted, check.observed, check.status) == (42, 43, Status.FAIL)
 
 
-def test_distance_bracket_is_skipped_not_passed():
-    # (7,9) over GF(2) has r^k = 2^62 messages: the distance is only [1, E]
+def test_distance_bracket_is_skipped_not_passed(monkeypatch):
+    # (7,9) over GF(2) has r^k = 2^62 messages; the search decides d = 35 ...
+    checks = _by_name(check_instance(7, 9, 2))
+    assert checks["CodeParamsVsPredicted"].observed == [1116, 62, 35]
+    assert checks["CodeDistanceEqualsLambda"].status == Status.PASS
+    # ... but cut short by a small budget it only brackets d, and no check passes on that
+    honest = codes.min_distance_exact
+    monkeypatch.setattr(codes, "min_distance_exact", lambda c: honest(c, budget=1000))
     checks = _by_name(check_instance(7, 9, 2))
     for name in ("CodeParamsVsPredicted", "ConjectureII"):
         check = checks[name]
-        assert check.observed == [1116, 62, "Unknown(1,1116)"]
+        assert check.observed == [1116, 62, "Unknown(32,35)"]
         assert (check.status, check.reason) == (
-            Status.SKIPPED, "distance only bracketed in [1,1116] (budget exceeded)")
+            Status.SKIPPED, "distance only bracketed in [32,35] (budget exceeded)")
+    check = checks["CodeDistanceEqualsLambda"]
+    assert (check.observed, check.status, check.reason) == (
+        "Unknown(32,35)", Status.SKIPPED, "minimum-distance search budget exceeded")
 
 
 def test_check_instance_both_even_skips_codes():
@@ -91,13 +100,12 @@ def test_check_instance_both_even_skips_codes():
 
 def test_check_instance_conjectures():
     # (6,5): general one-even, so Conjecture I applies and II over odd r;
-    # 3^29 messages are past the budget, so II's distance is only bracketed
+    # the code has 3^29 messages, and the search still settles II's distance
     checks = _by_name(check_instance(6, 5, 3))
     assert checks["ConjectureI"].status == Status.CONJECTURE_PASS
     ii = checks["ConjectureII"]
-    assert ii.predicted == [120, 29, 8]
-    assert (ii.status, ii.reason) == (
-        Status.SKIPPED, "distance only bracketed in [1,120] (budget exceeded)")
+    assert ii.predicted == ii.observed == [120, 29, 8]
+    assert (ii.status, ii.reason) == (Status.CONJECTURE_PASS, None)
     assert checks["BipartiteIffOneEven"].status == Status.PASS
 
 
@@ -189,9 +197,9 @@ def test_report_json_deterministic(small_sweep):
 
 def test_report_matches_golden(small_sweep):
     # past [2,6]^2: (7,8), (7,9) and (7,11) have dual distances that only the
-    # row-sharing pair pass settles and primal distances past the enumeration
-    # budget, and (11,12) is past the incidence-matrix cap; the goldens pin
-    # every byte of both reports
+    # row-sharing pair pass settles and primal codes of 2^55 to 3^55
+    # messages, and (11,12) is past the incidence-matrix cap; the goldens
+    # pin every byte of both reports
     records = small_sweep + [check_instance(n, m, r)
                              for n, m in [(7, 8), (7, 9), (7, 11), (11, 12)] for r in (2, 3)]
     assert report_json(CONFIG, records).encode() == (GOLDEN / "verify_report.json").read_bytes()
