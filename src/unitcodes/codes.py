@@ -395,8 +395,10 @@ def _pair_collision(gen: GfMatrix, entries: np.ndarray, first: np.ndarray,
         sums = np.hstack([entries[first], entries[second] - vals + (vals * beta) % r])
         keys[:, at:at + npairs] = _entries(sums, r).T
     order = np.lexsort(keys[::-1])
-    ranked = keys[:, order]
-    equal = np.nonzero((ranked[:, 1:] == ranked[:, :-1]).all(axis=0))[0]
+    same = np.ones(order.size - 1, dtype=bool)
+    for row in keys:  # one key row at a time, not a sorted copy of the table
+        same &= row[order[1:]] == row[order[:-1]]
+    equal = np.nonzero(same)[0]
     if equal.size == 0:
         return None
 

@@ -13,13 +13,12 @@ edge connectivity of a disconnected graph is 0.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, maximum_flow, shortest_path
+from scipy.sparse.csgraph import connected_components, maximum_flow
 
 from .gfmatrix import GfMatrix, PrimeField
 from .rings import ParityCase, RingSpec, euler_phi
@@ -99,95 +98,89 @@ def min_degree_formula(spec: RingSpec) -> int:
     return phi - 1 if spec.parity_case() == ParityCase.BOTH_ODD else phi
 
 
-def _bipartite(g: UnitGraph) -> bool:
-    """2-coloring by BFS over every component; False if an odd cycle exists."""
-    ptr, nbrs = g.adjacency.indptr, g.adjacency.indices
-    color = [-1] * g.num_vertices
-    for start in range(g.num_vertices):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in nbrs[ptr[u]:ptr[u + 1]].tolist():
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+def _levels(adj: csr_matrix, roots: list[int] | np.ndarray) -> np.ndarray:
+    """Breadth-first levels from several roots at once: row i holds each
+    vertex's distance from roots[i], or -1 where unreachable. Each level is
+    one sparse product of the adjacency with the frontier; float32 counts
+    neighbours exactly below 2^24 and takes scipy's fastest product."""
+    adj = adj.astype(np.float32)
+    levels = np.full((adj.shape[0], len(roots)), -1, dtype=np.int32)
+    levels[roots, np.arange(len(roots))] = 0
+    frontier = levels == 0
+    depth = 0
+    while frontier.any() and (levels < 0).any():
+        depth += 1
+        frontier = (adj @ frontier.astype(np.float32) > 0) & (levels < 0)
+        levels[frontier] = depth
+    return levels.T
+
+
+def _two_colourable(g: UnitGraph, level: np.ndarray) -> bool:
+    """Given each vertex's level from a root of its component: an edge
+    inside one level closes an odd cycle, and without one the level
+    parities are a 2-colouring."""
+    return not np.any(level[g.edges[:, 0]] == level[g.edges[:, 1]])
 
 
 def shortest_cycle(g: UnitGraph, bipartite: Optional[bool] = None) -> Optional[list[int]]:
-    """A shortest cycle as a list of edge indices, or None for a forest.
+    """A shortest cycle as a list of edge indices, or None for a forest;
+    ``bipartite`` is worked out when not given (see ``_girth_scan``)."""
+    labels = connected_components(g.adjacency, directed=False)[1]
+    levels = _levels(g.adjacency, np.unique(labels, return_index=True)[1])
+    if bipartite is None:
+        bipartite = _two_colourable(g, levels.max(axis=0))
+    return _girth_scan(g, bipartite, levels[0])
 
-    Per-root BFS: a non-tree edge closing at depths (d(u), d(w)) yields a
-    closed walk; trimming the two tree paths at their lowest common
-    ancestor leaves a simple cycle (tree paths cannot re-meet). The
-    minimum over all roots and closing edges is the girth.
+
+def _girth_scan(g: UnitGraph, bipartite: bool, first: np.ndarray) -> Optional[list[int]]:
+    """Shortest cycle by one BFS tree per root; ``first`` is vertex 0's
+    levels. A parent is the least neighbour one level up. A non-tree edge
+    (u, w) closes a walk of d(u) + d(w) + 1 edges, and trimming its two
+    tree paths at their lowest common ancestor leaves a simple cycle. At
+    a root on a shortest cycle the least such walk is as long as that
+    cycle, so the best over all roots is a shortest cycle.
 
     The scan stops once a cycle reaches the floor, 4 for a bipartite graph
-    (no odd cycles) and 3 otherwise; `bipartite` is worked out when not
-    given. Later roots replace the best cycle only when strictly shorter,
-    so stopping there returns the cycle the full scan returns.
+    (no odd cycles) and 3 otherwise. Later roots replace the best cycle
+    only when strictly shorter, so stopping there returns the cycle the
+    full scan returns.
     """
-    if bipartite is None:
-        bipartite = _bipartite(g)
     floor = 4 if bipartite else 3
-    best_len: Optional[int] = None
-    best_cycle: Optional[list[tuple[int, int]]] = None
+    best: Optional[list[tuple[int, int]]] = None
     nv = g.num_vertices
-    ptr, nbrs = g.adjacency.indptr, g.adjacency.indices
+    u, w = g.edges[:, 0], g.edges[:, 1]
     for root in range(nv):
-        if best_len == floor:
+        if best is not None and len(best) == floor:
             break
-        dist = [-1] * nv
-        parent = [-1] * nv
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if best_len is not None and 2 * dist[u] >= best_len:
-                continue
-            for w in nbrs[ptr[u]:ptr[u + 1]].tolist():
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w and parent[w] != u:
-                    cand = dist[u] + dist[w] + 1
-                    if best_len is None or cand < best_len:
-                        cycle = _extract_cycle(u, w, parent)
-                        if best_len is None or len(cycle) < best_len:
-                            best_len = len(cycle)
-                            best_cycle = cycle
-    if best_cycle is None:
+        level = first if root == 0 else _levels(g.adjacency, [root])[0]
+        lu, lw = level[u], level[w]
+        down, up = lw == lu + 1, lu == lw + 1
+        parent = np.full(nv, nv, dtype=np.int64)
+        np.minimum.at(parent, np.r_[w[down], u[up]], np.r_[u[down], w[up]])
+        closing = (lu >= 0) & (parent[w] != u) & (parent[u] != w)
+        if closing.any():
+            e = int(np.argmin(np.where(closing, lu + lw, 2 * nv)))
+            cycle = _extract_cycle(int(u[e]), int(w[e]), parent.tolist(), level.tolist())
+            if best is None or len(cycle) < len(best):
+                best = cycle
+    if best is None:
         return None
     # edges are sorted, so their keys u |V| + w are too
     keys = g.edges[:, 0].astype(np.int64) * nv + g.edges[:, 1]
-    return sorted(np.searchsorted(keys, [u * nv + w for u, w in best_cycle]).tolist())
+    return sorted(np.searchsorted(keys, [a * nv + b for a, b in best]).tolist())
 
 
-def _extract_cycle(u: int, w: int, parent: list[int]) -> list[tuple[int, int]]:
-    """Simple cycle through BFS-tree paths of u and w plus the edge (u, w)."""
-
-    def path(v: int) -> list[int]:
-        out = [v]
-        while parent[v] != -1:
-            v = parent[v]
-            out.append(v)
-        return out  # v .. root
-
-    pu, pw = path(u), path(w)
-    seen = {v: i for i, v in enumerate(pu)}
-    for j, v in enumerate(pw):
-        if v in seen:
-            lca_u, lca_w = seen[v], j
-            break
-    verts = pu[: lca_u + 1] + list(reversed(pw[:lca_w]))
-    edges = [(u, w)] + [(verts[i], verts[i + 1]) for i in range(len(verts) - 1)]
-    return [(min(a, b), max(a, b)) for a, b in edges]
+def _extract_cycle(u: int, w: int, parent: list[int], level: list[int]) -> list[tuple[int, int]]:
+    """Simple cycle of the edge (u, w) and the BFS-tree paths from u and w
+    up to their lowest common ancestor, as sorted vertex pairs."""
+    left, right = [u], [w]
+    while left[-1] != right[-1]:  # step up from the deeper end
+        if level[left[-1]] >= level[right[-1]]:
+            left.append(parent[left[-1]])
+        else:
+            right.append(parent[right[-1]])
+    verts = left + right[-2::-1]
+    return [(min(a, b), max(a, b)) for a, b in zip(verts, verts[1:] + verts[:1])]
 
 
 def girth(g: UnitGraph) -> Optional[int]:
@@ -236,21 +229,20 @@ def _orbit_sources(spec: RingSpec) -> list[int]:
 
 
 def invariants(g: UnitGraph) -> GraphInvariants:
+    """One breadth-first traversal gives the diameter, the 2-colouring and
+    root 0 of the girth scan: from the orbit sources, vertex 0 first, for
+    a connected graph, or else from the first vertex of each component."""
     adj = g.adjacency
-    ncomp, _ = connected_components(adj, directed=False)
+    ncomp, labels = connected_components(adj, directed=False)
     connected = ncomp == 1
-    if connected:
-        dists = shortest_path(adj, method="D", unweighted=True, directed=False,
-                              indices=_orbit_sources(g.spec))
-        diameter: Optional[int] = int(dists.max())
-    else:
-        diameter = None
-    bipartite = _bipartite(g)
-    cycle = shortest_cycle(g, bipartite)
+    levels = _levels(adj, _orbit_sources(g.spec) if connected
+                     else np.unique(labels, return_index=True)[1])
+    bipartite = _two_colourable(g, levels[0] if connected else levels.max(axis=0))
+    cycle = _girth_scan(g, bipartite, levels[0])
     return GraphInvariants(
         connected=connected,
         num_components=int(ncomp),
-        diameter=diameter,
+        diameter=int(levels.max()) if connected else None,
         bipartite=bipartite,
         girth=None if cycle is None else len(cycle),
         min_degree=int(np.diff(adj.indptr).min()),

@@ -389,6 +389,17 @@ def test_dual_distance_memory():
         tracemalloc.stop()
     assert (res.exact, res.value) == (True, 3)
     assert peak < 56 * 2**20
+    # 1.77 M keys on (13,15,3): comparing one key row at a time, not a sorted
+    # copy of the table, keeps the pass under 84 MiB, where the copy took 90
+    c = _code(13, 15, 3)
+    tracemalloc.start()
+    try:
+        res = dual_min_distance(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.exact, res.value) == (True, 4)
+    assert peak < 84 * 2**20
 
 
 def _normalize(cols, r):

@@ -3,7 +3,8 @@
 Every structural claim is cross-checked against an independent oracle:
 edges against a direct ring-arithmetic scan, girth against the
 delete-an-edge shortest-path trick, edge connectivity against a pure
-Python Edmonds-Karp, bipartiteness against odd walk counts.
+Python Edmonds-Karp, bipartiteness against odd walk counts, BFS levels
+against scipy's Dijkstra.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from unitcodes import graphs, verify
 from unitcodes.graphs import (
@@ -372,6 +373,78 @@ def test_edge_connectivity_flows_only_to_the_dominating_set(monkeypatch):
     monkeypatch.setattr(graphs, "maximum_flow", lambda *args: calls.append(args) or flow(*args))
     assert edge_connectivity(g) == min_degree_formula(g.spec)
     assert len(calls) <= len(dom) - 1 < g.num_vertices - 1
+
+
+PAIRS_16 = [(n, m) for n in range(2, 17) for m in range(2, 17)]
+
+
+@pytest.mark.parametrize("n,m", PAIRS_16)
+def test_levels_match_dijkstra(n, m):
+    # the both-even pairs are disconnected, so -1 marks the other components
+    g = build(RingSpec(n, m))
+    _, labels = connected_components(g.adjacency, directed=False)
+    for roots in (graphs._orbit_sources(g.spec), np.unique(labels, return_index=True)[1]):
+        dist = shortest_path(g.adjacency, method="D", unweighted=True, directed=False,
+                             indices=roots)
+        expect = np.where(np.isinf(dist), -1, dist).astype(int)
+        assert (graphs._levels(g.adjacency, roots) == expect).all(), (n, m)
+
+
+@st.composite
+def planted_forest_and_cycle(draw):
+    """A cycle of 3 to 7 vertices away from vertex 0, with pendant trees,
+    then trees and isolated vertices, vertex 0 among them; odd cycles
+    make the graph non-bipartite while vertex 0's component is a tree."""
+    spec = RingSpec(draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    others = draw(st.permutations(range(1, spec.size)))
+    length = draw(st.integers(3, min(7, len(others))))
+    cycle = others[:length]
+    edges = [(cycle[i - 1], cycle[i]) for i in range(length)]
+    attached = draw(st.integers(0, len(others) - length))
+    rng = draw(st.randoms(use_true_random=False))
+    grown, tree = list(cycle), [0]
+    for i, v in enumerate(others[length:]):
+        if i < attached:  # hangs off the cycle's component
+            edges.append((rng.choice(grown), v))
+            grown.append(v)
+        elif rng.random() < 0.3:  # starts a new tree
+            tree = [v]
+        else:  # hangs off the current tree, the first one holding vertex 0
+            edges.append((rng.choice(tree), v))
+            tree.append(v)
+    return _graph_on(spec, edges)
+
+
+@example(_graph_on(RingSpec(2, 4), [(0, 1), (2, 3), (3, 4), (2, 4)]))
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(planted_forest_and_cycle())
+def test_colouring_and_girth_on_planted_components(g):
+    assert invariants(g).bipartite == oracle_bipartite(g)
+    cyc = shortest_cycle(g)
+    assert len(cyc) == oracle_girth(g)
+    # 2-regular, and no longer than the girth, so one cycle and not several
+    degree = np.bincount(g.edges[cyc].ravel(), minlength=g.num_vertices)
+    assert set(degree.tolist()) <= {0, 2}
+
+
+@pytest.mark.parametrize("n,m", [(13, 13), (12, 13)])
+def test_invariants_traverse_once(monkeypatch, n, m):
+    # root 0 of the girth scan reads the diameter's traversal and meets the floor
+    g = build(RingSpec(n, m))
+    calls = {"levels": 0, "components": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(graphs, "_levels", counted("levels", graphs._levels))
+    monkeypatch.setattr(graphs, "connected_components",
+                        counted("components", graphs.connected_components))
+    inv = invariants(g)
+    assert inv.girth == (4 if inv.bipartite else 3)
+    assert calls == {"levels": 1, "components": 1}
 
 
 def test_shortest_cycle_is_a_cycle():
