@@ -57,26 +57,25 @@ class GraphInvariants:
     edge_connectivity: int
 
 
+def _shifted_units(k: int) -> np.ndarray:
+    """k x phi(k) table whose row a holds the y with a + y a unit, in order."""
+    a = np.arange(k, dtype=np.int32)
+    return np.nonzero(np.gcd((a[:, None] + a) % k, k) == 1)[1].astype(np.int32).reshape(k, -1)
+
+
 def build(spec: RingSpec) -> UnitGraph:
-    """Brute-force construction: u ~ w iff their element sum is a unit."""
-    n, m = spec.n, spec.m
-    coprime_n = np.array([math.gcd(a, n) == 1 for a in range(n)])
-    coprime_m = np.array([math.gcd(b, m) == 1 for b in range(m)])
-
-    # unit_sum[u, w] == True iff vertices u, w sum to a unit
-    a = np.arange(n)
-    b = np.arange(m)
-    sum_a_unit = coprime_n[(a[:, None] + a[None, :]) % n]
-    sum_b_unit = coprime_m[(b[:, None] + b[None, :]) % m]
-    unit_sum = np.logical_and(
-        np.kron(sum_a_unit, np.ones((m, m), dtype=bool)),
-        np.tile(sum_b_unit, (n, n)),
-    )
-    np.fill_diagonal(unit_sum, False)
-
-    edges = np.argwhere(np.triu(unit_sum)).astype(np.int32)
+    """x ~ y iff x + y is a unit, so x's neighbours are U - x less x. Row
+    a m + b is a-major over the tables' rows a and b, so it comes out sorted."""
+    nv = spec.size
+    cols = (_shifted_units(spec.n)[:, None, :, None] * spec.m
+            + _shifted_units(spec.m)[None, :, None, :]).reshape(nv, -1)
+    rows = np.broadcast_to(np.arange(nv, dtype=np.int32)[:, None], cols.shape)
+    keep, upper = cols != rows, cols > rows
+    indices = cols[keep]
+    indptr = np.r_[0, np.cumsum(keep.sum(axis=1))].astype(np.int32)
+    adjacency = csr_matrix((np.ones_like(indices), indices, indptr), shape=(nv, nv))
+    edges = np.stack((rows[upper], cols[upper])).T  # column-major, as each end is read whole
     edges.flags.writeable = False
-    adjacency = csr_matrix(unit_sum).astype(np.int32)
     return UnitGraph(spec=spec, edges=edges, adjacency=adjacency)
 
 
@@ -193,7 +192,7 @@ def _dominating_set(g: UnitGraph) -> list[int]:
     undominated, the vertex whose closed neighbourhood holds the most
     undominated vertices (ties to the smallest index)."""
     adj = g.adjacency
-    undominated = np.ones(g.num_vertices, dtype=np.int64)
+    undominated = np.ones(g.num_vertices, dtype=np.int32)  # int32 data: no upcast
     chosen: list[int] = []
     v = 0
     while True:

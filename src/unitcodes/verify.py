@@ -23,7 +23,7 @@ from .gfmatrix import PrimeField
 from .rings import THEOREM_TAGS, CaseTag, ParityCase, RingSpec, classify
 
 MATRIX_ENTRY_CAP = 200_000  # largest |V| |E| for which the code layer runs
-MAX_MODULUS = 64  # largest n or m anywhere: the graph layer builds |V| x |V| masks
+MAX_MODULUS = 64  # largest n or m anywhere: scipy's flow and component copies grow with |E|
 
 
 class Status(Enum):

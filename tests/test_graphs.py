@@ -1,10 +1,10 @@
 """Tests for unit graph construction and invariants.
 
 Every structural claim is cross-checked against an independent oracle:
-edges against a direct ring-arithmetic scan, girth against the
-delete-an-edge shortest-path trick, edge connectivity against a pure
-Python Edmonds-Karp, bipartiteness against odd walk counts, BFS levels
-against scipy's Dijkstra.
+edges against a direct ring-arithmetic scan and the dense unit-sum mask,
+girth against the delete-an-edge shortest-path trick, edge connectivity
+against a pure Python Edmonds-Karp, bipartiteness against odd walk
+counts, BFS levels against scipy's Dijkstra.
 """
 
 import math
@@ -50,6 +50,30 @@ def oracle_edges(spec):
             if math.gcd(a1 + a2, spec.n) == 1 and math.gcd(b1 + b2, spec.m) == 1:
                 out.append((u, w))
     return out
+
+
+def _dense_build(spec):
+    """The brute-force construction: u ~ w iff their element sum is a unit,
+    from a dense |V| x |V| mask."""
+    n, m = spec.n, spec.m
+    coprime_n = np.array([math.gcd(a, n) == 1 for a in range(n)])
+    coprime_m = np.array([math.gcd(b, m) == 1 for b in range(m)])
+
+    # unit_sum[u, w] == True iff vertices u, w sum to a unit
+    a = np.arange(n)
+    b = np.arange(m)
+    sum_a_unit = coprime_n[(a[:, None] + a[None, :]) % n]
+    sum_b_unit = coprime_m[(b[:, None] + b[None, :]) % m]
+    unit_sum = np.logical_and(
+        np.kron(sum_a_unit, np.ones((m, m), dtype=bool)),
+        np.tile(sum_b_unit, (n, n)),
+    )
+    np.fill_diagonal(unit_sum, False)
+
+    edges = np.argwhere(np.triu(unit_sum)).astype(np.int32)
+    edges.flags.writeable = False
+    adjacency = csr_matrix(unit_sum).astype(np.int32)
+    return UnitGraph(spec=spec, edges=edges, adjacency=adjacency)
 
 
 def neighbour_lists(g):
@@ -172,6 +196,7 @@ def oracle_diameter(g):
 
 
 SMALL = [(n, m) for n in range(2, 9) for m in range(2, 9)]
+PAIRS_16 = [(n, m) for n in range(2, 17) for m in range(2, 17)]
 
 
 @pytest.mark.parametrize("n,m", SMALL)
@@ -217,6 +242,30 @@ def test_adjacency_consistent_with_edges():
     nbrs = neighbour_lists(g)
     for v in range(g.num_vertices):
         assert adj.indices[adj.indptr[v]:adj.indptr[v + 1]].tolist() == nbrs[v]
+
+
+@pytest.mark.parametrize("n,m", PAIRS_16 + [(31, 32)])
+def test_build_matches_dense_construction(n, m):
+    g, ref = build(RingSpec(n, m)), _dense_build(RingSpec(n, m))
+    assert np.array_equal(g.edges, ref.edges)
+    assert g.edges.dtype == np.int32 and not g.edges.flags.writeable
+    adj, ref_adj = g.adjacency, ref.adjacency
+    assert adj.shape == ref_adj.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(adj, name), getattr(ref_adj, name)), name
+        assert getattr(adj, name).dtype == np.int32, name
+    assert adj.has_sorted_indices
+
+
+def test_build_peak_memory():
+    # (45,45) has 2,025 vertices: a dense |V| x |V| mask step peaks at 36 MiB
+    tracemalloc.start()
+    try:
+        build(RingSpec(45, 45))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_build_retains_little_memory():
@@ -365,6 +414,18 @@ def test_dominating_set_is_valid(n, m):
     assert all(v in dom or any(w in dom for w in nbrs[v]) for v in range(g.num_vertices))
 
 
+def test_dominating_set_memory():
+    # int32 counts against int32 data: no upcast copy of the adjacency per pick
+    g = build(RingSpec(31, 32))
+    tracemalloc.start()
+    try:
+        graphs._dominating_set(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.adjacency.data.nbytes // 4
+
+
 def test_edge_connectivity_flows_only_to_the_dominating_set(monkeypatch):
     g = build(RingSpec(13, 13))
     dom = graphs._dominating_set(g)
@@ -373,9 +434,6 @@ def test_edge_connectivity_flows_only_to_the_dominating_set(monkeypatch):
     monkeypatch.setattr(graphs, "maximum_flow", lambda *args: calls.append(args) or flow(*args))
     assert edge_connectivity(g) == min_degree_formula(g.spec)
     assert len(calls) <= len(dom) - 1 < g.num_vertices - 1
-
-
-PAIRS_16 = [(n, m) for n in range(2, 17) for m in range(2, 17)]
 
 
 @pytest.mark.parametrize("n,m", PAIRS_16)
